@@ -554,6 +554,48 @@ report when notifications.count > 1000`, i, i%1000, vocab[i%len(vocab)])
 	}
 }
 
+// BenchmarkSystemSubscribe measures one subscription write through the
+// System — subscribe, then remove, per iteration — against bases of 1k
+// and 20k subscriptions that carry refresh statements. The cost depends
+// on the size of the subscription written, so the two rows should read
+// the same per call.
+func BenchmarkSystemSubscribe(b *testing.B) {
+	vocab := webgen.Vocabulary()
+	for _, base := range []int{1000, 20000} {
+		sys, err := New(Options{})
+		if err != nil {
+			b.Fatalf("New: %v", err)
+		}
+		for i := 0; i < base; i++ {
+			if _, err := sys.Subscribe(fmt.Sprintf(`subscription Base%d
+monitoring
+select <Hit url=URL/>
+where URL extends "http://shop%d.example/" and new product contains %q
+refresh "http://shop%d.example/catalog0.xml" daily
+report when notifications.count > 1000`, i, i%1000, vocab[i%len(vocab)], i%1000)); err != nil {
+				b.Fatalf("Subscribe: %v", err)
+			}
+		}
+		const probe = `subscription Probe
+monitoring
+select <Hit url=URL/>
+where URL extends "http://shop7.example/" and new product contains "camera"
+refresh "http://shop7.example/catalog0.xml" hourly
+report when notifications.count > 1000`
+		b.Run(fmt.Sprintf("base=%d", base), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.Subscribe(probe); err != nil {
+					b.Fatalf("Subscribe: %v", err)
+				}
+				if err := sys.Unsubscribe("Probe"); err != nil {
+					b.Fatalf("Unsubscribe: %v", err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkParse compares the two DOM construction paths over the same
 // serialized catalog: the stdlib-decoder Parse (kept as the
 // differential-fuzz reference) against ParseBytes, the byte tokenizer

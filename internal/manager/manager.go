@@ -268,9 +268,7 @@ func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) 
 	}
 	for _, v := range sub.Virtual {
 		if err := m.reporter.Follow(sub.Name, v.Subscription); err != nil {
-			m.rollbackLocked(rs)
-			m.reporter.Unregister(sub.Name)
-			m.trigger.Unregister(sub.Name)
+			m.removeLocked(rs)
 			return err
 		}
 	}
@@ -281,13 +279,25 @@ func (m *Manager) register(src string, sub *sublang.Subscription, journal bool) 
 		// Journal implementations are plain file/buffer writers.
 		//xyvet:ignore lockcheck
 		if err := m.journal.Append(Record{Op: "subscribe", Name: sub.Name, Source: src}); err != nil {
+			// Not journalled, so not registered: a retry must not hit
+			// ErrDuplicateSubscription, and a restart would not recover it.
+			m.removeLocked(rs)
 			return fmt.Errorf("manager: journal: %w", err)
 		}
 	}
 	return nil
 }
 
-// rollbackLocked undoes partial registration of rs.
+// removeLocked takes rs out of the matcher, the alerters, the Reporter,
+// the Trigger Engine and the base; it also undoes a partial registration.
+func (m *Manager) removeLocked(rs *registeredSub) {
+	m.rollbackLocked(rs)
+	m.reporter.Unregister(rs.sub.Name)
+	m.trigger.Unregister(rs.sub.Name)
+	delete(m.subs, rs.sub.Name)
+}
+
+// rollbackLocked releases the complex and atomic events of rs.
 func (m *Manager) rollbackLocked(rs *registeredSub) {
 	for _, rq := range rs.queries {
 		_ = m.matcher.Remove(rq.id)
@@ -306,13 +316,14 @@ func (m *Manager) Unsubscribe(name string) error {
 	if !ok {
 		return ErrUnknownSubscription
 	}
-	m.rollbackLocked(rs)
-	m.reporter.Unregister(name)
-	m.trigger.Unregister(name)
-	delete(m.subs, name)
-	// Journalled under m.mu for ordering; see register.
+	// Journalled first, under m.mu for ordering (see register): when the
+	// append fails the subscription stays live, as a restart would find it.
 	//xyvet:ignore lockcheck
-	return m.journal.Append(Record{Op: "unsubscribe", Name: name})
+	if err := m.journal.Append(Record{Op: "unsubscribe", Name: name}); err != nil {
+		return fmt.Errorf("manager: journal: %w", err)
+	}
+	m.removeLocked(rs)
+	return nil
 }
 
 // internEventLocked returns the atomic event code of a condition,
@@ -644,7 +655,10 @@ func (m *Manager) Subscription(name string) (*sublang.Subscription, error) {
 
 // RefreshHints aggregates the refresh statements of all subscriptions,
 // keyed by URL (the smallest period wins). The crawler consults them to
-// boost page importance (Section 2.2).
+// boost page importance (Section 2.2). The walk is over the whole base:
+// System.AddSite applies it once per new site (which covers recovered
+// subscriptions), while System.Subscribe applies only the new
+// subscription's own statements.
 func (m *Manager) RefreshHints() map[string]sublang.Frequency {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -699,12 +713,8 @@ func (m *Manager) Recover(j Journal) error {
 			}
 		case "unsubscribe":
 			m.mu.Lock()
-			rs, ok := m.subs[r.Name]
-			if ok {
-				m.rollbackLocked(rs)
-				m.reporter.Unregister(r.Name)
-				m.trigger.Unregister(r.Name)
-				delete(m.subs, r.Name)
+			if rs, ok := m.subs[r.Name]; ok {
+				m.removeLocked(rs)
 			}
 			m.mu.Unlock()
 		}

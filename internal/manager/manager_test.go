@@ -1,7 +1,9 @@
 package manager
 
 import (
+	"errors"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -241,6 +243,130 @@ virtual WatchInria.UpdatedPage`)
 	if _, err := r.mgr.Subscribe(`subscription Bad
 virtual Missing.Query`); err == nil {
 		t.Error("virtual reference to missing subscription should fail")
+	}
+}
+
+// recipients counts the delivered reports per recipient subscription.
+func (r *rig) recipients() map[string]int {
+	out := map[string]int{}
+	for _, rep := range r.reports {
+		out[rep.Subscription]++
+	}
+	return out
+}
+
+// updateInria commits three versions of one WatchInria page: two
+// updates, enough to fire its count > 1 report once.
+func (r *rig) updateInria(url string) {
+	for _, v := range []string{"1", "2", "3"} {
+		r.commitXML(url, "", "", `<a><b>`+v+`</b></a>`)
+	}
+}
+
+func TestVirtualFollowsTargetOnce(t *testing.T) {
+	r := newRig(t, nil)
+	r.subscribe(watchInria)
+	// Two virtual clauses on one target: one follow, one copy per report.
+	r.subscribe(`subscription Follower
+virtual WatchInria.UpdatedPage
+virtual WatchInria.Other`)
+	r.updateInria("http://inria.fr/Xy/a.xml")
+	if got := r.recipients(); got["WatchInria"] != 1 || got["Follower"] != 1 {
+		t.Fatalf("recipients = %v, want one report each", got)
+	}
+	if err := r.mgr.Unsubscribe("Follower"); err != nil {
+		t.Fatalf("Unsubscribe: %v", err)
+	}
+	r.updateInria("http://inria.fr/Xy/b.xml")
+	if got := r.recipients(); got["WatchInria"] != 2 || got["Follower"] != 1 {
+		t.Errorf("recipients after unsubscribe = %v, want the follower detached", got)
+	}
+}
+
+// failJournal is a MemJournal whose appends fail while fail is set.
+type failJournal struct {
+	MemJournal
+	fail bool
+}
+
+func (j *failJournal) Append(rec Record) error {
+	if j.fail {
+		return errors.New("disk full")
+	}
+	return j.MemJournal.Append(rec)
+}
+
+// recovered replays j into a fresh rig and returns its subscription names.
+func recovered(t *testing.T, j Journal) []string {
+	t.Helper()
+	r := newRig(t, nil)
+	if err := r.mgr.Recover(j); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	subs := r.mgr.Subscriptions()
+	sort.Strings(subs)
+	return subs
+}
+
+func TestSubscribeJournalFailureRollsBack(t *testing.T) {
+	j := &failJournal{}
+	r := newRig(t, j)
+	r.subscribe(watchInria)
+	before := r.mgr.Stats()
+	// Every part register wires: complex and atomic events, a continuous
+	// query, reporting state and a follow.
+	const follower = `subscription Follower
+monitoring select <F/> where URL extends "http://follow.example/" and modified self
+continuous Q select c/name from market/competitor c when weekly
+virtual WatchInria.UpdatedPage
+report when immediate`
+	j.fail = true
+	if _, err := r.mgr.Subscribe(follower); err == nil || !strings.Contains(err.Error(), "journal") {
+		t.Fatalf("Subscribe with a failing journal = %v", err)
+	}
+	if st := r.mgr.Stats(); st != before {
+		t.Errorf("stats after a failed Subscribe = %+v, want %+v", st, before)
+	}
+	if n := r.eng.Len(); n != 0 {
+		t.Errorf("continuous queries after a failed Subscribe = %d, want 0", n)
+	}
+	r.updateInria("http://inria.fr/Xy/a.xml")
+	if got := r.recipients(); got["WatchInria"] != 1 || got["Follower"] != 0 {
+		t.Errorf("recipients = %v, want no report for the failed subscription", got)
+	}
+	// The retry is a fresh registration, and it is what a restart finds.
+	j.fail = false
+	r.subscribe(follower)
+	if got := recovered(t, j); len(got) != 2 || got[0] != "Follower" || got[1] != "WatchInria" {
+		t.Errorf("recovered = %v", got)
+	}
+}
+
+func TestUnsubscribeJournalFailureKeepsSubscription(t *testing.T) {
+	j := &failJournal{}
+	r := newRig(t, j)
+	r.subscribe(watchInria)
+	j.fail = true
+	if err := r.mgr.Unsubscribe("WatchInria"); err == nil || !strings.Contains(err.Error(), "journal") {
+		t.Fatalf("Unsubscribe with a failing journal = %v", err)
+	}
+	// Still live, as a restart would find it.
+	if got := r.mgr.Subscriptions(); len(got) != 1 {
+		t.Fatalf("subscriptions = %v, want WatchInria kept", got)
+	}
+	r.updateInria("http://inria.fr/Xy/a.xml")
+	if got := r.recipients(); got["WatchInria"] != 1 {
+		t.Errorf("recipients = %v, want WatchInria still reporting", got)
+	}
+	if got := recovered(t, j); len(got) != 1 {
+		t.Errorf("recovered = %v, want WatchInria", got)
+	}
+	j.fail = false
+	if err := r.mgr.Unsubscribe("WatchInria"); err != nil {
+		t.Fatalf("Unsubscribe: %v", err)
+	}
+	if got := recovered(t, j); len(got) != 0 {
+		t.Errorf("recovered = %v, want none", got)
 	}
 }
 

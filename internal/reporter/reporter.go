@@ -11,6 +11,7 @@ package reporter
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,6 +99,13 @@ type Reporter struct {
 	archMu  sync.Mutex
 	archive []archivedReport
 
+	// followMu serialises Follow and Unregister; following is the
+	// reverse of the subStates' follower lists (follower -> the targets
+	// it follows), so removal visits only those targets. Only
+	// subscriptions with virtual clauses have an entry.
+	followMu  sync.Mutex
+	following map[string][]string
+
 	// retry holds failed deliveries between redelivery attempts; its
 	// queue drains on Tick.
 	retry retryState
@@ -138,8 +146,9 @@ func WithClock(clock func() time.Time) Option {
 // New returns a Reporter delivering to sink (nil discards reports).
 func New(sink Delivery, opts ...Option) *Reporter {
 	r := &Reporter{
-		delivery: sink,
-		clock:    time.Now,
+		delivery:  sink,
+		clock:     time.Now,
+		following: make(map[string][]string),
 		retry: retryState{
 			maxAttempts: 5,
 			base:        time.Minute,
@@ -188,40 +197,47 @@ func (r *Reporter) Register(sub string, spec *sublang.ReportSpec) {
 }
 
 // Unregister drops a subscription's reporting state and detaches it from
-// any subscription it follows. Follower links may live on any stripe, so
-// the scan takes each stripe lock in turn (never two at once).
+// the subscriptions it follows. The follow index names those targets, so
+// the cost is one stripe lock per followed target, not a scan of the base.
 func (r *Reporter) Unregister(sub string) {
+	r.followMu.Lock()
+	defer r.followMu.Unlock()
 	s := r.stripeFor(sub)
 	s.mu.Lock()
 	delete(s.subs, sub)
 	s.mu.Unlock()
-	for i := range r.stripes {
-		st := &r.stripes[i]
-		st.mu.Lock()
-		for _, state := range st.subs {
-			for j, f := range state.followers {
-				if f == sub {
-					state.followers = append(state.followers[:j], state.followers[j+1:]...)
-					break
-				}
-			}
+	for _, target := range r.following[sub] {
+		ts := r.stripeFor(target)
+		ts.mu.Lock()
+		if st := ts.subs[target]; st != nil {
+			st.followers = slices.DeleteFunc(st.followers, func(f string) bool { return f == sub })
 		}
-		st.mu.Unlock()
+		ts.mu.Unlock()
 	}
+	delete(r.following, sub)
 }
 
 // Follow implements virtual subscriptions (Section 5.4): every report of
 // target is also delivered on behalf of follower. Creating the monitoring
-// work happens once; following only puts stress on the Reporter.
+// work happens once; following only puts stress on the Reporter. Following
+// the same target twice is recorded once, so the follower gets one copy
+// of each report.
 func (r *Reporter) Follow(follower, target string) error {
+	r.followMu.Lock()
+	defer r.followMu.Unlock()
 	s := r.stripeFor(target)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st, ok := s.subs[target]
+	if ok && !slices.Contains(st.followers, follower) {
+		st.followers = append(st.followers, follower)
+	}
+	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("reporter: unknown subscription %q", target)
 	}
-	st.followers = append(st.followers, follower)
+	if !slices.Contains(r.following[follower], target) {
+		r.following[follower] = append(r.following[follower], target)
+	}
 	return nil
 }
 

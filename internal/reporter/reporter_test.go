@@ -1,7 +1,10 @@
 package reporter
 
 import (
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -228,6 +231,87 @@ func TestFollowVirtualSubscription(t *testing.T) {
 	}
 	if !subs["Owner"] || !subs["Virtual"] {
 		t.Errorf("recipients = %v", subs)
+	}
+}
+
+func TestFollowTwiceRecordsOnce(t *testing.T) {
+	c := newClock()
+	r, reports := collectReports(t, WithClock(c.now))
+	r.Register("T", countSpec(0))
+	for i := 0; i < 2; i++ {
+		if err := r.Follow("F", "T"); err != nil {
+			t.Fatalf("Follow: %v", err)
+		}
+	}
+	r.Notify(notif("T", "X"))
+	if len(*reports) != 2 {
+		t.Fatalf("reports = %d, want 2 (owner + one follower copy)", len(*reports))
+	}
+	r.Unregister("F")
+	r.Notify(notif("T", "X"))
+	if len(*reports) != 3 {
+		t.Errorf("reports = %d, want 3 (follower detached)", len(*reports))
+	}
+	// Unregistering a target leaves the follower's other follows intact.
+	r.Register("U", countSpec(0))
+	if err := r.Follow("G", "T"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Follow("G", "U"); err != nil {
+		t.Fatal(err)
+	}
+	r.Unregister("T")
+	r.Notify(notif("U", "X"))
+	if len(*reports) != 5 {
+		t.Errorf("reports = %d, want 5 (U + its follower G)", len(*reports))
+	}
+}
+
+// TestFollowUnregisterConcurrent races follows and removals of many
+// followers on shared targets against notifications of those targets;
+// afterwards no follower may be left attached.
+func TestFollowUnregisterConcurrent(t *testing.T) {
+	var delivered atomic.Int64
+	r := New(DeliveryFunc(func(*Report) error {
+		delivered.Add(1)
+		return nil
+	}))
+	targets := []string{"T0", "T1", "T2"}
+	for _, target := range targets {
+		r.Register(target, countSpec(0))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				f := fmt.Sprintf("F%d-%d", g, i)
+				r.Register(f, countSpec(0))
+				for _, target := range targets {
+					if err := r.Follow(f, target); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				r.Unregister(f)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 600; i++ {
+			r.Notify(notif(targets[i%len(targets)], "X"))
+		}
+	}()
+	wg.Wait()
+	before := delivered.Load()
+	for _, target := range targets {
+		r.Notify(notif(target, "X"))
+	}
+	if got := delivered.Load() - before; got != int64(len(targets)) {
+		t.Errorf("reports = %d, want %d (no follower left attached)", got, len(targets))
 	}
 }
 

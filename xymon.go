@@ -352,13 +352,19 @@ func (s *System) Close() error {
 }
 
 // Subscribe registers a subscription written in the subscription language
-// of Section 5 and returns its parsed form.
+// of Section 5 and returns its parsed form. Only the new subscription's
+// own refresh statements reach the crawler, so the call costs the size of
+// that subscription, not of the base: hints only ever tighten a page's
+// period, so they leave the crawler as re-applying every hint would.
+// Pages the crawler does not know yet pick their hints up in AddSite.
 func (s *System) Subscribe(src string) (*Subscription, error) {
 	sub, err := s.Manager.Subscribe(src)
 	if err != nil {
 		return nil, err
 	}
-	s.Crawler.ApplyRefreshHints(s.Manager.RefreshHints())
+	for _, r := range sub.Refresh {
+		s.Crawler.ApplyRefreshHints(map[string]sublang.Frequency{r.URL: r.Freq})
+	}
 	return sub, nil
 }
 
@@ -403,7 +409,10 @@ func (s *System) PushHTML(url string, content []byte) (int, error) {
 	}), nil
 }
 
-// AddSite registers a synthetic site with the crawler.
+// AddSite registers a synthetic site with the crawler and applies the
+// refresh statements of the whole subscription base to it. This walk runs
+// once per site; it is also what applies the hints of subscriptions
+// recovered by New, since the crawler starts with no pages.
 func (s *System) AddSite(site *Site) {
 	s.Crawler.AddSite(site)
 	s.Crawler.ApplyRefreshHints(s.Manager.RefreshHints())
