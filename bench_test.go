@@ -752,7 +752,7 @@ func BenchmarkClusterMatch(b *testing.B) {
 			parts[i] = core.NewMatcher()
 		}
 		for id, events := range w.Complex {
-			if err := parts[id%blocks].Add(core.ComplexID(id), events); err != nil {
+			if err := parts[cluster.StaticBlock(events, blocks)].Add(core.ComplexID(id), events); err != nil {
 				b.Fatalf("Add: %v", err)
 			}
 		}

@@ -263,14 +263,23 @@ func TestChaosStreamSlowConsumer(t *testing.T) {
 // Degraded — then heals the fault and requires a probe to restore full,
 // reference-equal results.
 func TestChaosClusterDegradation(t *testing.T) {
+	// Two one-event subscriptions the static split puts on different
+	// blocks: complex 0 on block A, complex 1 on block B.
+	evA, evB := core.Event(1), core.Event(1)
+	for cluster.StaticBlock([]core.Event{evA}, 2) != 0 {
+		evA++
+	}
+	for cluster.StaticBlock([]core.Event{evB}, 2) != 1 {
+		evB++
+	}
 	a, b, reference := core.NewMatcher(), core.NewMatcher(), core.NewMatcher()
 	for _, m := range []*core.Matcher{a, reference} {
-		if err := m.Add(0, []core.Event{1}); err != nil {
+		if err := m.Add(0, []core.Event{evA}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, m := range []*core.Matcher{b, reference} {
-		if err := m.Add(1, []core.Event{2}); err != nil {
+		if err := m.Add(1, []core.Event{evB}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,7 +306,7 @@ func TestChaosClusterDegradation(t *testing.T) {
 	}
 	defer client.Close()
 
-	set := core.Canonical([]core.Event{1, 2})
+	set := core.Canonical([]core.Event{evA, evB})
 	want := reference.Match(set)
 	res, err := client.MatchResult(set)
 	if err != nil || res.Degraded || len(res.IDs) != len(want) {
@@ -323,8 +332,9 @@ func TestChaosClusterDegradation(t *testing.T) {
 			t.Fatalf("match %d partial IDs = %v, want block A's [0]", i, res.IDs)
 		}
 	}
-	if st := client.Stats(); st.Degraded == 0 || st.BlockFailures == 0 {
-		t.Errorf("client stats = %+v, want degradations and block failures", st)
+	// One replica per partition: nothing to fail over to.
+	if st := client.Stats(); st.Degraded != 5 || st.BlockFailures == 0 || st.Failovers != 0 {
+		t.Errorf("client stats = %+v, want 5 degradations, block failures and no failovers", st)
 	}
 
 	// Heal and probe the block back in: results return to reference.

@@ -2,26 +2,31 @@
 // the shell: the Section 4.2 distribution over real processes.
 //
 //	xycluster freeze -c 100000 -a 10000 -m 3 -blocks 4 -out dir/
-//	    generate a synthetic subscription base, partition it and write one
-//	    frozen snapshot per block (block0.xyc, block1.xyc, …)
+//	    generate a synthetic subscription base, split it by the static
+//	    placement rule and write one frozen snapshot per block
+//	    (block0.xyc, block1.xyc, …)
 //
 //	xycluster serve -addr :7070 block0.xyc
-//	    serve one block's snapshot over TCP (frozen v1 block)
+//	    serve one block's snapshot over TCP (read-only static block)
 //
 //	xycluster coord -addr :7060 -wal dir/ -replicas 2
 //	    run the partition-map coordinator: admits block joins/leaves,
 //	    rebalances partitions with WAL-backed handoffs
 //
 //	xycluster serve -addr :7070 -coord host:7060
-//	    serve a dynamic (v2 partition-map) block and join the cluster;
+//	    serve a dynamic block and join the cluster;
 //	    SIGINT/SIGTERM leaves gracefully, migrating subscriptions away
 //
 //	xycluster match -blocks host1:7070,host2:7070 1,3,5
-//	    match one atomic event set against every block and print the
-//	    complex event ids
+//	    match one atomic event set against static blocks, listed in block
+//	    order (block0 first), and print the complex event ids
+//
+//	xycluster match -coord host:7060 1,3,5
+//	    the same against a coordinated cluster, routed by its current map
 //
 //	xycluster bench -blocks host1:7070,host2:7070 -p 20 -a 10000 -n 5000
-//	    drive random documents through the cluster and report the rate
+//	    drive random documents through the cluster (-blocks or -coord)
+//	    and report the rate
 package main
 
 import (
@@ -75,8 +80,8 @@ func usage() {
   xycluster serve -addr HOST:PORT FILE.xyc
   xycluster serve -addr HOST:PORT -coord HOST:PORT [-advertise HOST:PORT]
   xycluster coord -addr HOST:PORT -wal DIR [-replicas N]
-  xycluster match -blocks ADDR[,ADDR...] EVENT[,EVENT...]
-  xycluster bench -blocks ADDR[,ADDR...] [-p N] [-a N] [-n N] [-seed N]`)
+  xycluster match (-blocks ADDR[,ADDR...] | -coord HOST:PORT) EVENT[,EVENT...]
+  xycluster bench (-blocks ADDR[,ADDR...] | -coord HOST:PORT) [-p N] [-a N] [-n N] [-seed N]`)
 }
 
 func runFreeze(args []string) error {
@@ -94,7 +99,7 @@ func runFreeze(args []string) error {
 		parts[i] = core.NewMatcher()
 	}
 	for id, events := range w.Complex {
-		if err := parts[id%*blocks].Add(core.ComplexID(id), events); err != nil {
+		if err := parts[cluster.StaticBlock(events, *blocks)].Add(core.ComplexID(id), events); err != nil {
 			return err
 		}
 	}
@@ -120,7 +125,7 @@ func runFreeze(args []string) error {
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
-	coord := fs.String("coord", "", "coordinator address (dynamic v2 block)")
+	coord := fs.String("coord", "", "coordinator address (dynamic block)")
 	advertise := fs.String("advertise", "", "address announced to the coordinator (default: the bound listen address)")
 	fs.Parse(args)
 	if *coord != "" {
@@ -151,7 +156,7 @@ func runServe(args []string) error {
 	return srv.Close()
 }
 
-// serveDynamic runs a v2 partition-map block: bind, join the cluster,
+// serveDynamic runs a dynamic partition-map block: bind, join the cluster,
 // serve until SIGINT/SIGTERM, then leave gracefully (the coordinator
 // migrates this block's partitions away before the leave acks) and
 // drain.
@@ -223,13 +228,28 @@ func parseBlocks(s string) []string {
 	return out
 }
 
+// dialClient connects to static blocks (-blocks, in block order) or to
+// a coordinated cluster (-coord), whichever was given.
+func dialClient(blocks, coord string) (*cluster.RingClient, error) {
+	addrs := parseBlocks(blocks)
+	switch {
+	case len(addrs) > 0 && coord != "":
+		return nil, fmt.Errorf("give -blocks or -coord, not both")
+	case coord != "":
+		return cluster.DialRing(coord)
+	case len(addrs) > 0:
+		return cluster.Dial(addrs...)
+	}
+	return nil, fmt.Errorf("needs -blocks or -coord")
+}
+
 func runMatch(args []string) error {
 	fs := flag.NewFlagSet("match", flag.ExitOnError)
-	blocks := fs.String("blocks", "", "comma-separated block addresses")
+	blocks := fs.String("blocks", "", "comma-separated static block addresses, in block order")
+	coord := fs.String("coord", "", "coordinator address of a dynamic cluster")
 	fs.Parse(args)
-	addrs := parseBlocks(*blocks)
-	if len(addrs) == 0 || fs.NArg() != 1 {
-		return fmt.Errorf("match needs -blocks and one event list")
+	if fs.NArg() != 1 {
+		return fmt.Errorf("match needs one event list")
 	}
 	var events []core.Event
 	for _, part := range strings.Split(fs.Arg(0), ",") {
@@ -239,9 +259,9 @@ func runMatch(args []string) error {
 		}
 		events = append(events, core.Event(v))
 	}
-	client, err := cluster.Dial(addrs...)
+	client, err := dialClient(*blocks, *coord)
 	if err != nil {
-		return err
+		return fmt.Errorf("match: %w", err)
 	}
 	defer client.Close()
 	ids, err := client.Match(core.Canonical(events))
@@ -255,19 +275,16 @@ func runMatch(args []string) error {
 
 func runBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	blocks := fs.String("blocks", "", "comma-separated block addresses")
+	blocks := fs.String("blocks", "", "comma-separated static block addresses, in block order")
+	coord := fs.String("coord", "", "coordinator address of a dynamic cluster")
 	p := fs.Int("p", 20, "events per document")
 	cardA := fs.Int("a", 10000, "atomic event universe")
 	n := fs.Int("n", 5000, "documents to match")
 	seed := fs.Int64("seed", 2, "document seed")
 	fs.Parse(args)
-	addrs := parseBlocks(*blocks)
-	if len(addrs) == 0 {
-		return fmt.Errorf("bench needs -blocks")
-	}
-	client, err := cluster.Dial(addrs...)
+	client, err := dialClient(*blocks, *coord)
 	if err != nil {
-		return err
+		return fmt.Errorf("bench: %w", err)
 	}
 	defer client.Close()
 	rng := rand.New(rand.NewSource(*seed))
@@ -290,7 +307,7 @@ func runBench(args []string) error {
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("%d documents over %d blocks in %v: %.0f docs/s, %d matches\n",
-		*n, len(addrs), elapsed.Round(time.Millisecond),
+		*n, len(client.Map().Blocks), elapsed.Round(time.Millisecond),
 		float64(*n)/elapsed.Seconds(), matches)
 	return nil
 }

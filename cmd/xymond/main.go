@@ -4,7 +4,11 @@
 // API or crawled from built-in synthetic sites, and reports are consulted
 // on the web ("which seems more appropriate for very large reports").
 //
-//	xymond [-addr :8080] [-journal path] [-data dir] [-sites n] [-crawl 1m] [-workers n]
+//	xymond [-addr :8080] [-durable dir] [-data dir] [-sites n] [-crawl 1m] [-workers n]
+//
+// -durable keeps the subscription base, pending reports, trigger marks
+// and the notification change-stream in write-ahead logs under dir, and
+// recovers them at startup.
 //
 // Endpoints:
 //
@@ -39,7 +43,7 @@ import (
 
 var (
 	addr     = flag.String("addr", ":8080", "HTTP listen address")
-	journal  = flag.String("journal", "", "journal file for subscription recovery")
+	durable  = flag.String("durable", "", "durability directory: write-ahead logs for subscriptions, reports, triggers and the change-stream (recovered at startup)")
 	sites    = flag.Int("sites", 0, "number of built-in synthetic sites to crawl")
 	crawlInt = flag.Duration("crawl", time.Minute, "crawl loop interval")
 	maxKeep  = flag.Int("keep", 100, "reports retained for web consultation")
@@ -58,8 +62,8 @@ func main() {
 	flag.Parse()
 	srv := &server{}
 	sys, err := xymon.New(xymon.Options{
-		JournalPath: *journal,
-		DataDir:     *dataDir,
+		DurableDir: *durable,
+		DataDir:    *dataDir,
 		Delivery: xymon.DeliveryFunc(func(r *xymon.Report) error {
 			srv.mu.Lock()
 			defer srv.mu.Unlock()
@@ -138,7 +142,7 @@ func main() {
 	}
 
 	// Graceful shutdown: stop accepting requests, stop the crawl/tick
-	// loop, then drain the worker pool.
+	// loop, drain the worker pool, then release the durable logs.
 	log.Printf("xymond: shutting down")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -149,6 +153,9 @@ func main() {
 	loops.Wait()
 	if runner != nil {
 		runner.Close()
+	}
+	if err := sys.Close(); err != nil {
+		log.Printf("xymond: close: %v", err)
 	}
 }
 

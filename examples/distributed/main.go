@@ -1,9 +1,10 @@
 // Distributed matching: the Section 4.2 scalability story made concrete.
 // The subscription base is split into partition blocks (the "Memory"
-// distribution); each block is frozen into a compact snapshot and served
-// by its own TCP server (Xyleme uses Corba between cluster nodes); a
-// client fans each document's atomic event set out to every block and
-// merges the matches — which are verified against a single local matcher.
+// distribution) by pubsub.StaticBlock; each block is frozen into a
+// compact snapshot and served by its own TCP server (Xyleme uses Corba
+// between cluster nodes); a client asks each block for the partitions of
+// the document's atomic events that it serves and merges the matches —
+// which are verified against a single local matcher.
 package main
 
 import (
@@ -37,7 +38,7 @@ func main() {
 		if err := local.Add(pubsub.ComplexID(id), events); err != nil {
 			log.Fatal(err)
 		}
-		if err := parts[id%blocks].Add(pubsub.ComplexID(id), events); err != nil {
+		if err := parts[pubsub.StaticBlock(events, blocks)].Add(pubsub.ComplexID(id), events); err != nil {
 			log.Fatal(err)
 		}
 	}

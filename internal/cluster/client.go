@@ -24,7 +24,7 @@ type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return "cluster: remote: " + e.Msg }
 
-// clientConfig is the tunable robustness envelope of a Client.
+// clientConfig is the tunable robustness envelope of a RingClient.
 type clientConfig struct {
 	dialer      func(addr string) (net.Conn, error)
 	dialTimeout time.Duration
@@ -36,7 +36,7 @@ type clientConfig struct {
 	faults      *faults.Injector
 }
 
-// ClientOption configures DialWith.
+// ClientOption configures DialWith, DialRing and NewRingClientWithMap.
 type ClientOption func(*clientConfig)
 
 // WithDialer substitutes the connection factory — fault-injection tests
@@ -132,16 +132,16 @@ type ClientStats struct {
 	// BlockFailures counts block give-ups (retry budget exhausted or
 	// dial failure), each starting a down-cooldown window.
 	BlockFailures uint64
-	// Failovers counts partitions re-routed to a replica after their
-	// preferred block failed mid-match (ring client only).
+	// Failovers counts failed blocks whose partitions were re-routed to
+	// another replica mid-match. With one replica per partition (a
+	// StaticMap) there is nowhere to fail over to, and it stays 0.
 	Failovers uint64
 	// MapRefreshes counts partition-map refetches after a stale-map
-	// rejection (ring client only).
+	// rejection.
 	MapRefreshes uint64
 }
 
-// netStats holds the atomic robustness counters shared by the static
-// and ring clients.
+// netStats holds a client's atomic robustness counters.
 type netStats struct {
 	retries       atomic.Uint64
 	reconnects    atomic.Uint64
@@ -165,25 +165,14 @@ func (st *netStats) snapshot() ClientStats {
 // Result is the outcome of one fan-out match.
 type Result struct {
 	IDs []core.ComplexID
-	// Degraded is set when at least one partition (v2) or block (v1)
-	// contributed no answer: the IDs are the matches of the partitions
-	// that responded. With the ring client and R ≥ 2 a single block
-	// failure never sets this — every partition fails over to a replica
-	// first; Degraded marks the last resort, not the common case.
+	// Degraded is set when at least one needed partition contributed no
+	// answer: the IDs are the matches of the partitions that responded.
+	// With R ≥ 2 a single block failure never sets this — every
+	// partition fails over to a replica first; Degraded marks the last
+	// resort, not the common case.
 	Degraded bool
 	// Down lists the addresses of the blocks that did not answer.
 	Down []string
-}
-
-// Client holds connections to every block server and matches against all
-// of them, surviving block failures with bounded retries, reconnection
-// backoff and degraded partial results. It speaks the v1 static-partition
-// protocol; DialRing speaks the v2 partition-map protocol.
-type Client struct {
-	mu    sync.Mutex
-	conns []*blockConn
-	cfg   clientConfig
-	st    netStats
 }
 
 type blockConn struct {
@@ -198,110 +187,55 @@ type blockConn struct {
 	downUntil time.Time
 }
 
-// Dial connects to every block address with default robustness settings.
-func Dial(addrs ...string) (*Client, error) {
+// Dial connects to the blocks of a static deployment with default
+// robustness settings; see DialWith.
+func Dial(addrs ...string) (*RingClient, error) {
 	return DialWith(nil, addrs...)
 }
 
-// DialWith connects to every block address. Every address must be
-// reachable at dial time — a cluster that starts degraded is a
-// configuration error; degradation is for blocks that die later.
-func DialWith(opts []ClientOption, addrs ...string) (*Client, error) {
-	cfg := newClientConfig(opts)
-	c := &Client{cfg: cfg}
-	for _, addr := range addrs {
-		conn, err := cfg.dialer(addr)
-		if err != nil {
+// DialWith returns a client routing by StaticMap(addrs): addrs[i] serves
+// block i of a base split by StaticBlock. Every block must be reachable
+// at dial time — a cluster that starts degraded is a configuration
+// error; degradation is for blocks that die later.
+func DialWith(opts []ClientOption, addrs ...string) (*RingClient, error) {
+	if len(addrs) == 0 {
+		return nil, errors.New("cluster: no block addresses")
+	}
+	c := NewRingClientWithMap(StaticMap(addrs), opts...)
+	// The first connections are not reconnects: dial with scratch stats.
+	// A block the probe cannot reach fails its check below.
+	probeConns(c.blockConns(), &c.cfg, &netStats{})
+	for i, addr := range addrs {
+		if err := c.checkStaticBlock(i, len(addrs), addr); err != nil {
 			_ = c.Close()
-			return nil, fmt.Errorf("cluster: %w", err)
+			return nil, err
 		}
-		bc := &blockConn{addr: addr}
-		bc.attachLocked(conn)
-		c.conns = append(c.conns, bc)
 	}
 	return c, nil
 }
 
-// Close closes every block connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var first error
-	for _, bc := range c.conns {
-		bc.mu.Lock()
-		if bc.conn != nil {
-			if err := bc.conn.Close(); err != nil && first == nil {
-				first = err
-			}
-			bc.conn = nil
+// checkStaticBlock asks block i of n what it holds, failing when the
+// block is unreachable. A block holding a partition that StaticMap reads
+// from another block was listed out of order or split by another rule;
+// matching against it would silently lose those subscriptions.
+func (c *RingClient) checkStaticBlock(i, n int, addr string) error {
+	kind, body, err := c.request(addr, kindMapReq, nil)
+	if err == nil && kind != kindMapResp {
+		err = fmt.Errorf("%w: block answered %q to a map fetch", ErrProtocol, kind)
+	}
+	var held Map
+	if err == nil {
+		held, err = DecodeMap(body)
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: block %d (%s): %w", i, addr, err)
+	}
+	for p, owners := range held.Assign {
+		if len(owners) > 0 && p%n != i {
+			return fmt.Errorf("cluster: block %d (%s) holds partition %d, which block %d serves: list the blocks in block order, split by StaticBlock", i, addr, p, p%n)
 		}
-		bc.mu.Unlock()
 	}
-	c.conns = nil
-	return first
-}
-
-// Match fans the canonical event set out to every block concurrently and
-// returns the merged complex-event ids. When some (but not all) blocks
-// are unavailable it returns the partial merge with a nil error — use
-// MatchResult to observe the Degraded flag.
-func (c *Client) Match(s core.EventSet) ([]core.ComplexID, error) {
-	res, err := c.MatchResult(s)
-	return res.IDs, err
-}
-
-// MatchResult fans the event set out to every block and reports exactly
-// what happened: full results, a degraded partial merge (some blocks
-// down), or an error (every block failed — there is nothing to degrade
-// to).
-func (c *Client) MatchResult(s core.EventSet) (Result, error) {
-	c.mu.Lock()
-	conns := append([]*blockConn(nil), c.conns...)
-	c.mu.Unlock()
-	if len(conns) == 0 {
-		return Result{}, errors.New("cluster: client is closed")
-	}
-	results := make([][]core.ComplexID, len(conns))
-	errs := make([]error, len(conns))
-	var wg sync.WaitGroup
-	for i, bc := range conns {
-		wg.Add(1)
-		go func(i int, bc *blockConn) {
-			defer wg.Done()
-			results[i], errs[i] = bc.match(s, &c.cfg, &c.st)
-		}(i, bc)
-	}
-	wg.Wait()
-	var res Result
-	var firstErr error
-	for i := range conns {
-		if errs[i] != nil {
-			if firstErr == nil {
-				firstErr = errs[i]
-			}
-			res.Down = append(res.Down, conns[i].addr)
-			continue
-		}
-		res.IDs = append(res.IDs, results[i]...)
-	}
-	if len(res.Down) == len(conns) {
-		return Result{}, firstErr
-	}
-	if len(res.Down) > 0 {
-		res.Degraded = true
-		c.st.degraded.Add(1)
-	}
-	return res, nil
-}
-
-// Probe attempts to reconnect every down block immediately, ignoring the
-// cooldown window — the explicit health probe for operators and tests —
-// and returns how many blocks are up afterwards.
-func (c *Client) Probe() int {
-	c.mu.Lock()
-	conns := append([]*blockConn(nil), c.conns...)
-	c.mu.Unlock()
-	return probeConns(conns, &c.cfg, &c.st)
+	return nil
 }
 
 func probeConns(conns []*blockConn, cfg *clientConfig, st *netStats) int {
@@ -335,30 +269,6 @@ type BlockHealth struct {
 	Fails     int       // consecutive give-ups
 	DownUntil time.Time // end of the current cooldown (zero when up)
 }
-
-// Health snapshots every block's liveness.
-func (c *Client) Health() []BlockHealth {
-	c.mu.Lock()
-	conns := append([]*blockConn(nil), c.conns...)
-	c.mu.Unlock()
-	return healthOf(conns)
-}
-
-func healthOf(conns []*blockConn) []BlockHealth {
-	out := make([]BlockHealth, 0, len(conns))
-	for _, bc := range conns {
-		bc.mu.Lock()
-		out = append(out, BlockHealth{
-			Addr: bc.addr, Up: bc.conn != nil,
-			Fails: bc.downFails, DownUntil: bc.downUntil,
-		})
-		bc.mu.Unlock()
-	}
-	return out
-}
-
-// Stats snapshots the robustness counters.
-func (c *Client) Stats() ClientStats { return c.st.snapshot() }
 
 // attachLocked adopts a fresh connection (bc.mu held, or bc not shared yet).
 func (bc *blockConn) attachLocked(conn net.Conn) {
@@ -466,25 +376,4 @@ func (bc *blockConn) exchangeLocked(ioTimeout time.Duration, send func(w *bufio.
 	}
 	//xyvet:ignore lockcheck
 	return recv(bc.r)
-}
-
-// match runs one v1 match request against one block.
-func (bc *blockConn) match(s core.EventSet, cfg *clientConfig, st *netStats) ([]core.ComplexID, error) {
-	events := eventsToU32(s)
-	var ids []uint32
-	err := bc.call(cfg, st,
-		func(w *bufio.Writer) error { return writeFrame(w, 'M', events) },
-		func(r *bufio.Reader) error {
-			var err error
-			ids, err = readSetRaw(r, 'R')
-			return err
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.ComplexID, len(ids))
-	for i, id := range ids {
-		out[i] = core.ComplexID(id)
-	}
-	return out, nil
 }

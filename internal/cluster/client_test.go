@@ -3,22 +3,38 @@ package cluster
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"xymon/internal/core"
 )
 
-// twoBlocks builds a two-block cluster with known partitions: block A
-// holds complex 0 ← {1}, block B holds complex 1 ← {2}. It returns both
-// servers so tests can kill and resurrect them individually.
+// eventOn returns the smallest event whose one-event subscription
+// StaticBlock places on block i of n.
+func eventOn(i, n int) core.Event {
+	for e := core.Event(1); ; e++ {
+		if StaticBlock([]core.Event{e}, n) == i {
+			return e
+		}
+	}
+}
+
+// evA and evB head the subscriptions of the two static blocks built by
+// twoBlocks.
+var evA, evB = eventOn(0, 2), eventOn(1, 2)
+
+// twoBlocks builds a two-block static cluster with known partitions:
+// block A holds complex 0 ← {evA}, block B holds complex 1 ← {evB}. It
+// returns both servers so tests can kill and resurrect them
+// individually; dial them in (A, B) order.
 func twoBlocks(t *testing.T) (srvA, srvB *Server) {
 	t.Helper()
 	a, b := core.NewMatcher(), core.NewMatcher()
-	if err := a.Add(0, []core.Event{1}); err != nil {
+	if err := a.Add(0, []core.Event{evA}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Add(1, []core.Event{2}); err != nil {
+	if err := b.Add(1, []core.Event{evB}); err != nil {
 		t.Fatal(err)
 	}
 	srvA, err := Serve("127.0.0.1:0", core.Freeze(a))
@@ -64,7 +80,7 @@ func TestDegradedPartialResults(t *testing.T) {
 	}
 	defer client.Close()
 
-	set := core.Canonical([]core.Event{1, 2})
+	set := core.Canonical([]core.Event{evA, evB})
 	res, err := client.MatchResult(set)
 	if err != nil || res.Degraded || len(res.IDs) != 2 {
 		t.Fatalf("healthy MatchResult = %+v, %v", res, err)
@@ -85,13 +101,13 @@ func TestDegradedPartialResults(t *testing.T) {
 	if len(res.IDs) != 1 || res.IDs[0] != 0 {
 		t.Errorf("partial IDs = %v, want the surviving block's [0]", res.IDs)
 	}
-	if st := client.Stats(); st.Degraded == 0 || st.BlockFailures == 0 {
-		t.Errorf("stats = %+v, want degraded and block-failure counts", st)
+	if st := client.Stats(); st.Degraded != 1 || st.BlockFailures == 0 {
+		t.Errorf("stats = %+v, want one degraded match and block-failure counts", st)
 	}
 
 	// Resurrect block B; Probe reconnects it immediately (no cooldown
 	// wait) and full results come back.
-	restartBlock(t, addrB, 1, []core.Event{2})
+	restartBlock(t, addrB, 1, []core.Event{evB})
 	deadline := time.Now().Add(5 * time.Second)
 	for client.Probe() != 2 {
 		if time.Now().After(deadline) {
@@ -105,6 +121,55 @@ func TestDegradedPartialResults(t *testing.T) {
 	}
 	if st := client.Stats(); st.Reconnects == 0 {
 		t.Errorf("stats = %+v, want a reconnect recorded", st)
+	}
+}
+
+// TestStaticMapDeadBlockIsNotAFailover pins the failover count: with
+// one replica per partition a dead block's partitions have nowhere to
+// go, so the match is Degraded and no failover is counted.
+func TestStaticMapDeadBlockIsNotAFailover(t *testing.T) {
+	srvA, srvB := twoBlocks(t)
+	client, err := DialWith([]ClientOption{
+		WithTimeouts(time.Second, time.Second),
+		WithRetries(0),
+		WithDownCooldown(time.Minute, time.Minute),
+	}, srvA.Addr(), srvB.Addr())
+	if err != nil {
+		t.Fatalf("DialWith: %v", err)
+	}
+	defer client.Close()
+	srvB.Close()
+	res, err := client.MatchResult(core.Canonical([]core.Event{evA, evB}))
+	if err != nil || !res.Degraded {
+		t.Fatalf("MatchResult with B dead = %+v, %v", res, err)
+	}
+	if st := client.Stats(); st.Degraded != 1 || st.Failovers != 0 {
+		t.Errorf("stats = %+v, want Degraded=1 Failovers=0", st)
+	}
+}
+
+// TestDialRejectsMisorderedBlocks pins the static placement check: a
+// block list out of block order would read each partition from a block
+// that does not hold it and silently match nothing, so Dial refuses it.
+func TestDialRejectsMisorderedBlocks(t *testing.T) {
+	srvA, srvB := twoBlocks(t)
+	_, err := Dial(srvB.Addr(), srvA.Addr())
+	if err == nil || !strings.Contains(err.Error(), "block order") {
+		t.Fatalf("Dial(B, A) = %v, want a block-order error", err)
+	}
+	client, err := Dial(srvA.Addr(), srvB.Addr())
+	if err != nil {
+		t.Fatalf("Dial(A, B): %v", err)
+	}
+	client.Close()
+	// A dynamic block holds no frozen base to check; Dial refuses it too.
+	dyn, err := ServeDynamic("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatalf("ServeDynamic: %v", err)
+	}
+	defer dyn.Close()
+	if _, err := Dial(dyn.Addr()); err == nil {
+		t.Fatal("Dial accepted a dynamic block as a static one")
 	}
 }
 
@@ -123,7 +188,7 @@ func TestAllBlocksDownErrors(t *testing.T) {
 	defer client.Close()
 	srvA.Close()
 	srvB.Close()
-	if _, err := client.Match(core.EventSet{1, 2}); err == nil {
+	if _, err := client.Match(core.Canonical([]core.Event{evA, evB})); err == nil {
 		t.Fatal("Match with every block down returned nil error")
 	}
 }
@@ -147,7 +212,7 @@ func TestDownCooldownSkipsAndRecovers(t *testing.T) {
 
 	addrB := srvB.Addr()
 	srvB.Close()
-	set := core.Canonical([]core.Event{1, 2})
+	set := core.Canonical([]core.Event{evA, evB})
 	if res, err := client.MatchResult(set); err != nil || !res.Degraded {
 		t.Fatalf("first MatchResult = %+v, %v", res, err)
 	}
@@ -164,7 +229,7 @@ func TestDownCooldownSkipsAndRecovers(t *testing.T) {
 
 	// Inside the cooldown the block is skipped without dialing: even with
 	// the server back up, the result stays degraded.
-	restartBlock(t, addrB, 1, []core.Event{2})
+	restartBlock(t, addrB, 1, []core.Event{evB})
 	if res, err := client.MatchResult(set); err != nil || !res.Degraded {
 		t.Fatalf("in-cooldown MatchResult = %+v, %v", res, err)
 	}
@@ -207,13 +272,8 @@ func TestMatchNeverHangsOnSilentPeer(t *testing.T) {
 			defer conn.Close() // hold it open, never respond
 		}
 	}()
-	client, err := DialWith([]ClientOption{
-		WithTimeouts(time.Second, 200*time.Millisecond),
-		WithRetries(0),
-	}, ln.Addr().String())
-	if err != nil {
-		t.Fatalf("DialWith: %v", err)
-	}
+	client := NewRingClientWithMap(StaticMap([]string{ln.Addr().String()}),
+		WithTimeouts(time.Second, 200*time.Millisecond), WithRetries(0))
 	defer client.Close()
 	start := time.Now()
 	if _, err := client.Match(core.EventSet{1}); err == nil {
@@ -251,10 +311,7 @@ func TestRemoteErrorNotRetried(t *testing.T) {
 			}(conn)
 		}
 	}()
-	client, err := DialWith([]ClientOption{WithRetries(3)}, ln.Addr().String())
-	if err != nil {
-		t.Fatalf("DialWith: %v", err)
-	}
+	client := NewRingClientWithMap(StaticMap([]string{ln.Addr().String()}), WithRetries(3))
 	defer client.Close()
 	_, err = client.Match(core.EventSet{1})
 	var remote *RemoteError
@@ -279,12 +336,12 @@ func TestServerSurvivesAbruptDisconnect(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Announce a 4-event frame, send half of one event, vanish.
+	// Announce a 16-byte frame, send 2 bytes of it, vanish.
 	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	raw.Write([]byte{'M', 4, 0, 0, 0, 0xAA, 0xBB})
+	raw.Write([]byte{kindMatchV2, 16, 0, 0, 0, 0xAA, 0xBB})
 	raw.Close()
 
 	// And another that disconnects before even finishing the header.
@@ -292,7 +349,7 @@ func TestServerSurvivesAbruptDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	raw2.Write([]byte{'M', 1})
+	raw2.Write([]byte{kindMatchV2, 1})
 	raw2.Close()
 
 	client, err := Dial(srv.Addr())

@@ -1,32 +1,26 @@
 // Package cluster distributes the Monitoring Query Processor over the
 // network, realising the two distributions of Section 4.2 across real
-// processes. Two generations of block server coexist:
+// processes. Every block speaks one wire protocol (wire.go) and every
+// client routes by one partition Map (ring.go):
 //
-//   - Serve exposes one frozen core.Compact snapshot over the v1
-//     protocol ('M' match frames) — the static partition of the original
-//     distribution, still used by pubsub and the benchmarks.
-//   - ServeDynamic exposes a live core.Matcher over the v2 partition-map
-//     protocol: the block accepts subscription Add/Remove while serving
-//     matches, hosts the partitions a versioned Map assigns to it, and
-//     participates in coordinator-driven rebalancing (see ring.go and
-//     coord.go). v1 clients are rejected loudly.
+//   - Serve exposes one frozen core.Compact snapshot as a read-only
+//     block. A static deployment is a StaticMap over such blocks — fixed
+//     placement, no coordinator — with the base split by StaticBlock;
+//     Dial returns a client for it after checking that every block holds
+//     only the partitions the map reads from it.
+//   - ServeDynamic exposes a live core.Matcher: the block accepts
+//     subscription Add/Remove while serving matches, hosts the partitions
+//     a versioned Map assigns to it, and participates in
+//     coordinator-driven rebalancing (see coord.go); DialRing returns a
+//     client that follows the coordinator's maps.
 //
 // Xyleme uses Corba between cluster nodes; the wire protocol here is a
 // minimal length-prefixed binary exchange over the standard library's
 // net package.
-//
-// v1 wire protocol (little-endian):
-//
-//	request:  'M' | n u32 | events (u32)*
-//	response: 'R' | n u32 | complex ids (u32)*
-//	          'E' | n u32 | error text (n bytes)
-//
-// The v2 frames are documented in wire.go.
 package cluster
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -92,16 +86,10 @@ func WithAdvertise(addr string) ServerOption {
 
 // Server serves match requests for one partition block.
 type Server struct {
-	matcher *core.Compact // v1 static block (nil in dynamic mode)
-	dyn     *core.Matcher // v2 dynamic block (nil in static mode)
+	matcher *core.Compact // read-only static block (nil in dynamic mode)
+	dyn     *core.Matcher // dynamic block (nil in static mode)
 	cfg     serverConfig
-	ln      net.Listener
-	wg      sync.WaitGroup
-	closing chan struct{}
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
+	acc     *acceptor
 
 	// Dynamic-block state: the installed partition map and the partition
 	// of every hosted subscription (avoiding a Definition lookup per
@@ -112,14 +100,16 @@ type Server struct {
 	part map[core.ComplexID]int
 }
 
-// Serve starts a static v1 server for the frozen block on the given
-// address ("127.0.0.1:0" picks a free port). It returns immediately; use
-// Addr for the bound address and Close to stop.
+// Serve starts a read-only static block for the frozen snapshot on the
+// given address ("127.0.0.1:0" picks a free port). It answers matches
+// for any partitions asked of it and rejects subscription writes, dumps
+// and drops. It returns immediately; use Addr for the bound address and
+// Close to stop.
 func Serve(addr string, block *core.Compact, opts ...ServerOption) (*Server, error) {
 	return serve(addr, block, nil, opts)
 }
 
-// ServeDynamic starts a v2 partition-map server around a live matcher.
+// ServeDynamic starts a partition-map server around a live matcher.
 // The matcher may start empty (a fresh block joining a cluster receives
 // its partitions from the coordinator) or pre-loaded. The caller must
 // not touch m afterwards — the server owns it.
@@ -142,11 +132,16 @@ func serve(addr string, block *core.Compact, dyn *core.Matcher, opts []ServerOpt
 	if cfg.advertise == "" {
 		cfg.advertise = ln.Addr().String()
 	}
-	s := &Server{
-		matcher: block, dyn: dyn, cfg: cfg, ln: ln,
-		closing: make(chan struct{}),
-		conns:   make(map[net.Conn]struct{}),
-		part:    make(map[core.ComplexID]int),
+	s := &Server{matcher: block, dyn: dyn, cfg: cfg, part: make(map[core.ComplexID]int)}
+	if block != nil {
+		// A static block's map says what it holds: Version 0, so there is
+		// no version to be stale against, and this block on every
+		// partition it has subscriptions of. DialWith checks it against
+		// the StaticMap it routes by.
+		s.pmap.Assign = make([][]string, NumPartitions)
+		block.Heads(func(e core.Event) {
+			s.pmap.Assign[PartitionOfEvent(e)] = []string{cfg.advertise}
+		})
 	}
 	if dyn != nil {
 		// A pre-loaded matcher's subscriptions need their partitions on
@@ -156,20 +151,12 @@ func serve(addr string, block *core.Compact, dyn *core.Matcher, opts []ServerOpt
 			return true
 		})
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.acc = startAcceptor(ln, cfg.faults, s.handle)
 	return s, nil
 }
 
 // Addr returns the listener's address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Map returns the installed partition map (Version 0 when none).
-func (s *Server) Map() Map {
-	s.smu.RLock()
-	defer s.smu.RUnlock()
-	return s.pmap.Clone()
-}
+func (s *Server) Addr() string { return s.acc.ln.Addr().String() }
 
 // Len returns the number of subscriptions this block currently hosts.
 func (s *Server) Len() int {
@@ -179,48 +166,48 @@ func (s *Server) Len() int {
 	return s.matcher.Len()
 }
 
-// Close stops the listener, severs every active connection (a handler
-// blocked on a client that never speaks again must not wedge shutdown),
-// and waits for all handlers to drain.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	alreadyClosed := s.closed
-	s.closed = true
-	for conn := range s.conns {
-		_ = conn.Close()
-	}
-	s.mu.Unlock()
-	if !alreadyClosed {
-		close(s.closing)
-	}
-	err := s.ln.Close()
-	s.wg.Wait()
-	if alreadyClosed {
-		return nil
-	}
-	return err
+// Close stops the listener, severs every active connection and waits
+// for all handlers to drain.
+func (s *Server) Close() error { return s.acc.close() }
+
+// acceptor is the accept side shared by block servers and the
+// coordinator: admission through the faults.PointAccept seam, backoff on
+// transient accept errors, and tracking of live connections so close can
+// sever them.
+type acceptor struct {
+	ln      net.Listener
+	faults  *faults.Injector
+	closing chan struct{}
+	wg      sync.WaitGroup
+
+	mu     sync.Mutex
+	closed bool
+	conns  map[net.Conn]struct{}
 }
 
-// acceptLoop admits connections until Close. Transient accept errors
-// (EMFILE, ECONNABORTED, …) back off exponentially — 1ms doubling to a
-// 1s cap, the crawler's retry idiom — instead of hot-spinning the CPU
-// against a condition that needs time to clear; any successful accept
-// resets the backoff.
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
+// startAcceptor serves ln, running handle on a goroutine of its own for
+// every admitted connection and closing the connection when it returns.
+func startAcceptor(ln net.Listener, in *faults.Injector, handle func(net.Conn)) *acceptor {
+	a := &acceptor{ln: ln, faults: in, closing: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+	a.wg.Add(1)
+	go a.loop(handle)
+	return a
+}
+
+// loop admits connections until close. Transient accept errors (EMFILE,
+// ECONNABORTED, …) back off exponentially — 1ms doubling to a 1s cap,
+// the crawler's retry idiom — instead of hot-spinning the CPU against a
+// condition that needs time to clear; any successful accept resets the
+// backoff.
+func (a *acceptor) loop(handle func(net.Conn)) {
+	defer a.wg.Done()
 	backoff := time.Millisecond
 	const backoffMax = time.Second
 	for {
-		conn, err := s.ln.Accept()
+		conn, err := a.ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return
-			}
 			select {
-			case <-s.closing:
+			case <-a.closing:
 				return
 			case <-time.After(backoff):
 			}
@@ -230,24 +217,50 @@ func (s *Server) acceptLoop() {
 			continue
 		}
 		backoff = time.Millisecond
-		if err := s.cfg.faults.Check(faults.PointAccept, remoteKey(conn)); err != nil {
+		if err := a.faults.Check(faults.PointAccept, remoteKey(conn)); err != nil {
 			conn.Close()
 			continue
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		a.mu.Lock()
+		if a.closed {
+			a.mu.Unlock()
 			conn.Close()
 			return
 		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
+		a.conns[conn] = struct{}{}
+		a.mu.Unlock()
+		a.wg.Add(1)
 		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
+			defer a.wg.Done()
+			defer func() {
+				conn.Close()
+				a.mu.Lock()
+				delete(a.conns, conn)
+				a.mu.Unlock()
+			}()
+			handle(conn)
 		}()
 	}
+}
+
+// close stops the listener, severs every live connection (a handler
+// blocked on a peer that never speaks again must not wedge shutdown),
+// and waits for all handlers to drain. Later calls return nil.
+func (a *acceptor) close() error {
+	a.mu.Lock()
+	already := a.closed
+	a.closed = true
+	for conn := range a.conns {
+		_ = conn.Close()
+	}
+	a.mu.Unlock()
+	var err error
+	if !already {
+		close(a.closing)
+		err = a.ln.Close()
+	}
+	a.wg.Wait()
+	return err
 }
 
 func remoteKey(conn net.Conn) string {
@@ -257,45 +270,48 @@ func remoteKey(conn net.Conn) string {
 	return ""
 }
 
-func (s *Server) handle(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
+// serveFrames runs one connection's request loop, for block servers and
+// the coordinator alike: read a frame, hand it to dispatch, flush the
+// response. The idle deadline covers the wait for the next request and
+// the exchange itself, so a stalled or vanished client frees the
+// goroutine within it, never "until Close". The read and response
+// writes consult faults.PointServeRead and faults.PointServeWrite keyed
+// by the remote address.
+func serveFrames(conn net.Conn, readIdle time.Duration, in *faults.Injector, dispatch func(kind byte, payload []byte, respond func(byte, []byte) error) error) {
 	key := remoteKey(conn)
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
+	respond := func(kind byte, payload []byte) error {
+		if err := in.Check(faults.PointServeWrite, key); err != nil {
+			return err
+		}
+		return writeBlob(w, kind, payload)
+	}
 	for {
-		// The idle deadline covers the wait for the next request and the
-		// request/response exchange itself: a stalled or vanished client
-		// frees this goroutine within the deadline, never "until Close".
-		if s.cfg.readIdle > 0 {
-			if err := conn.SetDeadline(time.Now().Add(s.cfg.readIdle)); err != nil {
+		if readIdle > 0 {
+			if err := conn.SetDeadline(time.Now().Add(readIdle)); err != nil {
 				return
 			}
 		}
-		if err := s.cfg.faults.Check(faults.PointServeRead, key); err != nil {
+		if err := in.Check(faults.PointServeRead, key); err != nil {
 			return
 		}
 		var kind [1]byte
 		if _, err := io.ReadFull(r, kind[:]); err != nil {
 			return
 		}
-		keep, err := s.dispatch(kind[0], r, w, key)
+		payload, err := readBlobBody(r)
+		if err == nil {
+			err = dispatch(kind[0], payload, respond)
+		}
 		if err != nil {
 			// An injected write fault models a broken pipe: drop the
 			// connection so the client's transport retry kicks in. A
 			// protocol error, by contrast, is answered in words.
-			if !errors.Is(err, io.EOF) && !errors.Is(err, faults.ErrInjected) {
-				_ = s.writeChecked(w, key, func() error { writeError(w, err); return nil })
+			if !errors.Is(err, faults.ErrInjected) {
+				_ = respond(kindError, []byte(err.Error()))
 				w.Flush()
 			}
-			return
-		}
-		if !keep {
-			w.Flush()
 			return
 		}
 		if err := w.Flush(); err != nil {
@@ -304,51 +320,15 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// writeChecked consults the serve.write fault seam, then runs the write.
-func (s *Server) writeChecked(w *bufio.Writer, key string, write func() error) error {
-	if err := s.cfg.faults.Check(faults.PointServeWrite, key); err != nil {
-		return err
-	}
-	return write()
+func (s *Server) handle(conn net.Conn) {
+	serveFrames(conn, s.cfg.readIdle, s.cfg.faults, s.dispatch)
 }
 
-// dispatch reads the body of one request (kind already consumed) and
-// answers it. It returns keep=false to close the connection after the
-// response flushes, and a non-nil error to answer with an error frame
-// and close.
-func (s *Server) dispatch(kind byte, r *bufio.Reader, w *bufio.Writer, key string) (keep bool, err error) {
-	// v1 match: the static block's only request.
-	if kind == 'M' {
-		if s.dyn != nil {
-			// Drain the frame so the error response isn't interleaved
-			// with unread request bytes, then reject loudly: a v1 client
-			// fanning out to every block would silently lose this block's
-			// partitions if we answered its match with partial data.
-			if _, err := readSetRawBody(r); err != nil {
-				return false, err
-			}
-			return false, fmt.Errorf("%w: this block speaks the v2 partition-map protocol; upgrade the client (v1 'M' rejected)", ErrProtocol)
-		}
-		set, err := readSetBody(r)
-		if err != nil {
-			return false, err
-		}
-		matched := s.matcher.Match(set)
-		ids := make([]uint32, len(matched))
-		for i, id := range matched {
-			ids[i] = uint32(id)
-		}
-		return true, s.writeChecked(w, key, func() error { return writeFrame(w, 'R', ids) })
-	}
-	if s.dyn == nil {
-		return false, fmt.Errorf("%w: expected frame %q, got %q", ErrProtocol, 'M', kind)
-	}
-	payload, err := readBlobBody(r)
-	if err != nil {
-		return false, err
-	}
-	resp := func(k byte, body []byte) error {
-		return s.writeChecked(w, key, func() error { return writeBlob(w, k, body) })
+// dispatch answers one request. An error is answered with an error frame
+// and closes the connection.
+func (s *Server) dispatch(kind byte, payload []byte, resp func(byte, []byte) error) error {
+	if s.dyn == nil && (kind == kindAdd || kind == kindRemove || kind == kindDump || kind == kindDrop) {
+		return fmt.Errorf("%w: read-only static block rejects frame %q", ErrProtocol, kind)
 	}
 	switch kind {
 	case kindMatchV2:
@@ -366,17 +346,17 @@ func (s *Server) dispatch(kind byte, r *bufio.Reader, w *bufio.Writer, key strin
 	case kindMapReq:
 		return s.handleMapReq(resp)
 	default:
-		return false, fmt.Errorf("%w: unknown frame kind %q", ErrProtocol, kind)
+		return fmt.Errorf("%w: unknown frame kind %q", ErrProtocol, kind)
 	}
 }
 
-// handleMatch answers a v2 match: verify this block read-serves every
-// requested partition under the installed map, match the live matcher,
-// and filter the ids down to the requested partitions.
-func (s *Server) handleMatch(payload []byte, resp func(byte, []byte) error) (bool, error) {
+// handleMatch answers a match: verify this block read-serves every
+// requested partition under the installed map, then match only the
+// requested partitions.
+func (s *Server) handleMatch(payload []byte, resp func(byte, []byte) error) error {
 	_, parts, events, err := decodeMatchV2(payload)
 	if err != nil {
-		return false, err
+		return err
 	}
 	s.smu.RLock()
 	m := s.pmap
@@ -391,16 +371,25 @@ func (s *Server) handleMatch(payload []byte, resp func(byte, []byte) error) (boo
 	}
 	s.smu.RUnlock()
 	if stale {
-		return true, resp(kindStale, encodeU64(m.Version))
+		return resp(kindStale, encodeU64(m.Version))
 	}
 
-	set := core.Canonical(u32ToEvents(events))
-	matched := s.dyn.Match(set)
 	var wanted [NumPartitions]bool
 	for _, p := range parts {
-		wanted[int(p)%NumPartitions] = true
+		wanted[p] = true
 	}
-	ids := make([]uint32, 0, len(matched))
+	set := core.Canonical(u32ToEvents(events))
+	var ids []uint32
+	if s.matcher != nil {
+		// A Compact's subscriptions hang under their minimal event's root
+		// entry, so the walk itself skips the unrequested partitions.
+		for _, id := range s.matcher.MatchRootsAppend(nil, set, func(e core.Event) bool { return wanted[PartitionOfEvent(e)] }) {
+			ids = append(ids, uint32(id))
+		}
+		return resp(kindResults, appendU32s(nil, ids))
+	}
+	matched := s.dyn.Match(set)
+	ids = make([]uint32, 0, len(matched))
 	s.smu.RLock()
 	for _, id := range matched {
 		if p, ok := s.part[id]; ok && wanted[p] {
@@ -408,7 +397,7 @@ func (s *Server) handleMatch(payload []byte, resp func(byte, []byte) error) (boo
 		}
 	}
 	s.smu.RUnlock()
-	return true, resp(kindResults, appendU32s(nil, ids))
+	return resp(kindResults, appendU32s(nil, ids))
 }
 
 // checkWriteVersion bounces writes carrying an older map version than
@@ -429,17 +418,17 @@ func (s *Server) checkWriteVersion(ver uint64) (stale bool, cur uint64) {
 }
 
 // handleAdd registers (or replaces, idempotently) one subscription.
-func (s *Server) handleAdd(payload []byte, resp func(byte, []byte) error) (bool, error) {
+func (s *Server) handleAdd(payload []byte, resp func(byte, []byte) error) error {
 	ver, id, events, err := decodeSubOp(payload)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if stale, cur := s.checkWriteVersion(ver); stale {
-		return true, resp(kindStale, encodeU64(cur))
+		return resp(kindStale, encodeU64(cur))
 	}
 	set := core.Canonical(u32ToEvents(events))
 	if len(set) == 0 {
-		return false, core.ErrEmptyComplexEvent
+		return core.ErrEmptyComplexEvent
 	}
 	cid := core.ComplexID(id)
 	s.smu.Lock()
@@ -454,20 +443,20 @@ func (s *Server) handleAdd(payload []byte, resp func(byte, []byte) error) (bool,
 	}
 	s.smu.Unlock()
 	if err != nil {
-		return false, err
+		return err
 	}
-	return true, resp(kindAck, nil)
+	return resp(kindAck, nil)
 }
 
 // handleRemove unregisters one subscription; removing an id this block
 // never saw is a no-op (double-writes and retries make that routine).
-func (s *Server) handleRemove(payload []byte, resp func(byte, []byte) error) (bool, error) {
+func (s *Server) handleRemove(payload []byte, resp func(byte, []byte) error) error {
 	ver, id, _, err := decodeSubOp(payload)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if stale, cur := s.checkWriteVersion(ver); stale {
-		return true, resp(kindStale, encodeU64(cur))
+		return resp(kindStale, encodeU64(cur))
 	}
 	cid := core.ComplexID(id)
 	s.smu.Lock()
@@ -476,7 +465,7 @@ func (s *Server) handleRemove(payload []byte, resp func(byte, []byte) error) (bo
 		delete(s.part, cid)
 	}
 	s.smu.Unlock()
-	return true, resp(kindAck, nil)
+	return resp(kindAck, nil)
 }
 
 // partSubs snapshots every subscription of partition p.
@@ -492,118 +481,53 @@ func (s *Server) partSubs(p int) []Sub {
 }
 
 // handleDump streams partition p's subscriptions to the coordinator.
-func (s *Server) handleDump(payload []byte, resp func(byte, []byte) error) (bool, error) {
-	p, err := decodeU32(payload)
+func (s *Server) handleDump(payload []byte, resp func(byte, []byte) error) error {
+	p, err := decodePart(payload)
 	if err != nil {
-		return false, err
+		return err
 	}
-	return true, resp(kindDumped, encodeSubs(s.partSubs(int(p))))
+	return resp(kindDumped, encodeSubs(s.partSubs(p)))
 }
 
 // handleDrop discards partition p after a handoff moved it elsewhere.
-func (s *Server) handleDrop(payload []byte, resp func(byte, []byte) error) (bool, error) {
-	p, err := decodeU32(payload)
+func (s *Server) handleDrop(payload []byte, resp func(byte, []byte) error) error {
+	p, err := decodePart(payload)
 	if err != nil {
-		return false, err
+		return err
 	}
-	for _, sub := range s.partSubs(int(p)) {
+	for _, sub := range s.partSubs(p) {
 		s.smu.Lock()
 		_ = s.dyn.Remove(sub.ID)
 		delete(s.part, sub.ID)
 		s.smu.Unlock()
 	}
-	return true, resp(kindAck, nil)
+	return resp(kindAck, nil)
 }
 
 // handleInstall adopts a new partition map. Regressions are ignored (a
 // re-pushed older version acks without clobbering newer state, which
 // makes coordinator recovery re-pushes idempotent).
-func (s *Server) handleInstall(payload []byte, resp func(byte, []byte) error) (bool, error) {
+func (s *Server) handleInstall(payload []byte, resp func(byte, []byte) error) error {
 	m, err := DecodeMap(payload)
 	if err != nil {
-		return false, err
+		return err
 	}
 	s.smu.Lock()
 	if m.Version >= s.pmap.Version {
 		s.pmap = m
 	}
 	s.smu.Unlock()
-	return true, resp(kindAck, nil)
+	return resp(kindAck, nil)
 }
 
-// handleMapReq serves the installed map to a client.
-func (s *Server) handleMapReq(resp func(byte, []byte) error) (bool, error) {
+// handleMapReq serves the installed map to a client; a static block
+// serves the map of what it holds.
+func (s *Server) handleMapReq(resp func(byte, []byte) error) error {
 	s.smu.RLock()
 	m := s.pmap
 	s.smu.RUnlock()
-	if m.Version == 0 {
-		return false, fmt.Errorf("%w: no partition map installed on this block", ErrProtocol)
+	if len(m.Assign) == 0 {
+		return fmt.Errorf("%w: no partition map installed on this block", ErrProtocol)
 	}
-	return true, resp(kindMapResp, m.Encode())
-}
-
-func writeFrame(w io.Writer, kind byte, values []uint32) error {
-	if _, err := w.Write([]byte{kind}); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(values))); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, values)
-}
-
-func writeError(w io.Writer, err error) {
-	msg := []byte(err.Error())
-	w.Write([]byte{'E'})
-	binary.Write(w, binary.LittleEndian, uint32(len(msg)))
-	w.Write(msg)
-}
-
-// readSetBody reads a v1 count-framed body whose kind byte was consumed.
-func readSetBody(r io.Reader) (core.EventSet, error) {
-	raw, err := readSetRawBody(r)
-	if err != nil {
-		return nil, err
-	}
-	return core.Canonical(u32ToEvents(raw)), nil
-}
-
-func readSetRaw(r io.Reader, kind byte) ([]uint32, error) {
-	var k [1]byte
-	if _, err := io.ReadFull(r, k[:]); err != nil {
-		return nil, err
-	}
-	if k[0] == 'E' {
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return nil, fmt.Errorf("%w: bad error frame", ErrProtocol)
-		}
-		if n > maxSetLen {
-			return nil, fmt.Errorf("%w: oversized error frame", ErrProtocol)
-		}
-		msg := make([]byte, n)
-		if _, err := io.ReadFull(r, msg); err != nil {
-			return nil, fmt.Errorf("%w: truncated error frame", ErrProtocol)
-		}
-		return nil, &RemoteError{Msg: string(msg)}
-	}
-	if k[0] != kind {
-		return nil, fmt.Errorf("%w: expected frame %q, got %q", ErrProtocol, kind, k[0])
-	}
-	return readSetRawBody(r)
-}
-
-func readSetRawBody(r io.Reader) ([]uint32, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("%w: truncated length", ErrProtocol)
-	}
-	if n > maxSetLen {
-		return nil, fmt.Errorf("%w: frame of %d values", ErrProtocol, n)
-	}
-	values := make([]uint32, n)
-	if err := binary.Read(r, binary.LittleEndian, values); err != nil {
-		return nil, fmt.Errorf("%w: truncated frame", ErrProtocol)
-	}
-	return values, nil
+	return resp(kindMapResp, m.Encode())
 }

@@ -13,9 +13,10 @@ import (
 	"xymon/internal/core"
 )
 
-// startCluster splits a random subscription base over nBlocks servers and
-// returns a connected client, the reference single matcher, and a cleanup.
-func startCluster(t *testing.T, nBlocks, nComplex, universe int, seed int64) (*Client, *core.Matcher) {
+// startCluster splits a random subscription base over nBlocks static
+// blocks with StaticBlock and returns a connected client and the
+// reference single matcher.
+func startCluster(t *testing.T, nBlocks, nComplex, universe int, seed int64) (*RingClient, *core.Matcher) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	reference := core.NewMatcher()
@@ -31,7 +32,7 @@ func startCluster(t *testing.T, nBlocks, nComplex, universe int, seed int64) (*C
 		if err := reference.Add(id, events); err != nil {
 			t.Fatalf("Add: %v", err)
 		}
-		if err := blocks[int(id)%nBlocks].Add(id, events); err != nil {
+		if err := blocks[StaticBlock(events, nBlocks)].Add(id, events); err != nil {
 			t.Fatalf("Add: %v", err)
 		}
 	}
@@ -57,31 +58,112 @@ func sorted(ids []core.ComplexID) []core.ComplexID {
 	return ids
 }
 
+// TestDistributedMatchAgreesWithLocal holds static clusters of 1, 3 and
+// 4 blocks to the single local matcher; 3 does not divide the partition
+// count, so blocks host unequal partition shares.
 func TestDistributedMatchAgreesWithLocal(t *testing.T) {
 	const universe = 100
-	client, reference := startCluster(t, 3, 500, universe, 51)
-	rng := rand.New(rand.NewSource(52))
-	for trial := 0; trial < 50; trial++ {
-		events := make([]core.Event, rng.Intn(15))
-		for i := range events {
-			events[i] = core.Event(rng.Intn(universe))
-		}
-		s := core.Canonical(events)
-		got, err := client.Match(s)
-		if err != nil {
-			t.Fatalf("Match: %v", err)
-		}
-		want := reference.Match(s)
-		got, want = sorted(got), sorted(want)
-		if len(got) != len(want) {
-			t.Fatalf("Match(%v) = %v, want %v", s, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("Match(%v) = %v, want %v", s, got, want)
+	for _, nBlocks := range []int{1, 3, 4} {
+		client, reference := startCluster(t, nBlocks, 500, universe, 51)
+		rng := rand.New(rand.NewSource(52))
+		for trial := 0; trial < 50; trial++ {
+			events := make([]core.Event, rng.Intn(15))
+			for i := range events {
+				events[i] = core.Event(rng.Intn(universe))
+			}
+			s := core.Canonical(events)
+			res, err := client.MatchResult(s)
+			if err != nil || res.Degraded {
+				t.Fatalf("%d blocks: MatchResult(%v) = %+v, %v", nBlocks, s, res, err)
+			}
+			if got, want := sorted(res.IDs), sorted(reference.Match(s)); !sameIDs(got, want) {
+				t.Fatalf("%d blocks: Match(%v) = %v, want %v", nBlocks, s, got, want)
 			}
 		}
 	}
+}
+
+// TestCompactBlockServesRequestedPartitionsOnly asks one static block
+// for strict subsets of its partitions and requires exactly the matches
+// of those partitions — none of the others.
+func TestCompactBlockServesRequestedPartitionsOnly(t *testing.T) {
+	const universe = 60
+	rng := rand.New(rand.NewSource(56))
+	m := core.NewMatcher()
+	for id := core.ComplexID(0); id < 400; id++ {
+		events := make([]core.Event, 1+rng.Intn(3))
+		for i := range events {
+			events[i] = core.Event(rng.Intn(universe))
+		}
+		if err := m.Add(id, events); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := Serve("127.0.0.1:0", core.Freeze(m))
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+	all := make([]core.Event, universe)
+	for i := range all {
+		all[i] = core.Event(i)
+	}
+	doc := core.Canonical(all)
+	needed := neededPartitions(doc)
+	for trial := 0; trial < 10; trial++ {
+		var parts []uint32
+		var wanted [NumPartitions]bool
+		for _, p := range needed {
+			if rng.Intn(3) == 0 {
+				parts = append(parts, p)
+				wanted[p] = true
+			}
+		}
+		if len(parts) == 0 || len(parts) == len(needed) {
+			continue // not a strict, non-empty subset
+		}
+		var want []core.ComplexID
+		for _, id := range m.Match(doc) {
+			if wanted[PartitionOf(m.Definition(id))] {
+				want = append(want, id)
+			}
+		}
+		kind, body := rawExchange(t, srv.Addr(), kindMatchV2, encodeMatchV2(1, parts, eventsToU32(doc)))
+		if kind != kindResults {
+			t.Fatalf("partition-subset match answered %q: %s", kind, body)
+		}
+		ids, err := u32s(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sorted(idsOf(ids)); !sameIDs(got, sorted(want)) {
+			t.Fatalf("partitions %v: got %v, want %v", parts, got, want)
+		}
+	}
+}
+
+// rawExchange sends one frame on a fresh connection and returns the
+// reply frame as is, error frames included.
+func rawExchange(t *testing.T, addr string, kind byte, payload []byte) (byte, []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeBlob(conn, kind, payload); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	var k [1]byte
+	if _, err := io.ReadFull(conn, k[:]); err != nil {
+		t.Fatalf("read reply kind: %v", err)
+	}
+	body, err := readBlobBody(conn)
+	if err != nil {
+		t.Fatalf("read reply body: %v", err)
+	}
+	return k[0], body
 }
 
 func TestConcurrentClients(t *testing.T) {
@@ -175,7 +257,7 @@ func TestProtocolErrorHandling(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer conn2.Close()
-	frame := []byte{'M', 0xFF, 0xFF, 0xFF, 0x7F}
+	frame := []byte{kindMatchV2, 0xFF, 0xFF, 0xFF, 0x7F}
 	conn2.Write(frame)
 	conn2.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := io.ReadFull(conn2, buf); err != nil || buf[0] != 'E' {
@@ -210,10 +292,10 @@ func TestClientAgainstMisbehavingServer(t *testing.T) {
 			}(conn)
 		}
 	}()
-	client, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
+	if _, err := Dial(ln.Addr().String()); err == nil || !strings.Contains(err.Error(), "synthetic failure") {
+		t.Errorf("Dial error = %v, want remote failure surfaced", err)
 	}
+	client := NewRingClientWithMap(StaticMap([]string{ln.Addr().String()}))
 	defer client.Close()
 	_, err = client.Match(core.EventSet{1})
 	if err == nil || !strings.Contains(err.Error(), "synthetic failure") {

@@ -53,12 +53,9 @@ type Coord struct {
 	stable  Map
 	members map[string]bool
 
-	ln      net.Listener
-	wg      sync.WaitGroup
-	closing chan struct{}
-	cmu     sync.Mutex
-	closed  bool
-	conns   map[net.Conn]struct{}
+	cmu    sync.Mutex
+	closed bool
+	acc    *acceptor // nil until ServeCoord
 }
 
 // coordRecord is one JSON-lines journal entry of the transfer WAL.
@@ -119,8 +116,6 @@ func NewCoord(walDir string, replicas int, opts ...ClientOption) (*Coord, error)
 		replicas: replicas,
 		log:      log,
 		members:  make(map[string]bool),
-		closing:  make(chan struct{}),
-		conns:    make(map[net.Conn]struct{}),
 	}
 	pending, err := c.recover()
 	if err != nil {
@@ -204,20 +199,11 @@ func (c *Coord) Close() error {
 	c.cmu.Lock()
 	already := c.closed
 	c.closed = true
-	var ln net.Listener
-	if !already {
-		close(c.closing)
-		ln = c.ln
-		for conn := range c.conns {
-			_ = conn.Close()
-		}
-		c.conns = map[net.Conn]struct{}{}
-	}
+	acc := c.acc
 	c.cmu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
+	if acc != nil {
+		_ = acc.close()
 	}
-	c.wg.Wait()
 	if already {
 		return nil
 	}
@@ -334,7 +320,7 @@ func (c *Coord) runTransfer(p *pendingTransfer) error {
 		if p.done[key] {
 			continue
 		}
-		if err := c.faultCheck(faults.PointXfer, key); err != nil {
+		if err := c.cfg.faults.Check(faults.PointXfer, key); err != nil {
 			return err
 		}
 		subs, journaled := p.dumped[mv.Part]
@@ -483,14 +469,6 @@ func (c *Coord) install(addr string, m Map) error {
 	return nil
 }
 
-// faultCheck consults the coordinator's injector at a transfer point.
-func (c *Coord) faultCheck(point faults.Point, key string) error {
-	if c.cfg.faults == nil {
-		return nil
-	}
-	return c.cfg.faults.Check(point, key)
-}
-
 // rpc runs one request/response round trip against a block over a fresh
 // connection, with deadline-bounded I/O and bounded retries. The
 // coordinator talks to each block rarely (installs, dumps, copies), so
@@ -533,9 +511,10 @@ func (c *Coord) rpcOnce(addr string, kind byte, payload []byte) (byte, []byte, e
 }
 
 // ServeCoord starts the coordinator's control listener on addr. Blocks
-// and clients speak v2 blob frames to it: '?' fetches the current map,
-// 'J'/'L'/'V' are join/leave/evict requests carrying the subject block's
-// address. Returns once the listener is bound; Close stops it.
+// and clients speak the cluster's blob frames to it: '?' fetches the
+// current map, 'J'/'L'/'V' are join/leave/evict requests carrying the
+// subject block's address. Returns once the listener is bound; Close
+// stops it.
 func (c *Coord) ServeCoord(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -547,10 +526,8 @@ func (c *Coord) ServeCoord(addr string) error {
 		_ = ln.Close()
 		return errors.New("cluster: coordinator is closed")
 	}
-	c.ln = ln
+	c.acc = startAcceptor(ln, c.cfg.faults, c.handle)
 	c.cmu.Unlock()
-	c.wg.Add(1)
-	go c.acceptLoop(ln)
 	return nil
 }
 
@@ -558,116 +535,38 @@ func (c *Coord) ServeCoord(addr string) error {
 func (c *Coord) Addr() string {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
-	if c.ln == nil {
+	if c.acc == nil {
 		return ""
 	}
-	return c.ln.Addr().String()
-}
-
-// acceptLoop mirrors Server.acceptLoop: capped exponential backoff on
-// transient accept errors, clean exit once Close fires.
-func (c *Coord) acceptLoop(ln net.Listener) {
-	defer c.wg.Done()
-	backoff := time.Millisecond
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-c.closing:
-				return
-			default:
-			}
-			select {
-			case <-c.closing:
-				return
-			case <-time.After(backoff):
-			}
-			if backoff < time.Second {
-				backoff *= 2
-			}
-			continue
-		}
-		backoff = time.Millisecond
-		if err := c.faultCheck(faults.PointAccept, conn.RemoteAddr().String()); err != nil {
-			_ = conn.Close()
-			continue
-		}
-		c.cmu.Lock()
-		if c.closed {
-			c.cmu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		c.conns[conn] = struct{}{}
-		c.cmu.Unlock()
-		c.wg.Add(1)
-		go c.handle(conn)
-	}
+	return c.acc.ln.Addr().String()
 }
 
 func (c *Coord) handle(conn net.Conn) {
-	defer c.wg.Done()
-	defer func() {
-		c.cmu.Lock()
-		delete(c.conns, conn)
-		c.cmu.Unlock()
-		_ = conn.Close()
-	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	for {
-		if err := conn.SetDeadline(time.Now().Add(DefaultReadIdle)); err != nil {
-			return
-		}
-		if err := c.faultCheck(faults.PointServeRead, conn.RemoteAddr().String()); err != nil {
-			return
-		}
-		kind, body, err := readBlob(r)
-		if err != nil {
-			var remote *RemoteError
-			if !errors.As(err, &remote) {
-				return
-			}
-			continue
-		}
-		if err := c.dispatch(kind, body, w); err != nil {
-			writeError(w, err)
-		}
-		if w.Flush() != nil {
-			return
-		}
-	}
+	serveFrames(conn, DefaultReadIdle, c.cfg.faults, c.dispatch)
 }
 
-func (c *Coord) dispatch(kind byte, body []byte, w *bufio.Writer) error {
-	if err := c.faultCheck(faults.PointServeWrite, string(kind)); err != nil {
-		return err
-	}
+func (c *Coord) dispatch(kind byte, body []byte, respond func(byte, []byte) error) error {
+	var err error
 	switch kind {
 	case kindMapReq:
 		m := c.Map()
 		if m.Version == 0 {
 			return fmt.Errorf("%w: no blocks have joined yet", ErrProtocol)
 		}
-		return writeBlob(w, kindMapResp, m.Encode())
+		return respond(kindMapResp, m.Encode())
 	case kindJoin:
-		if err := c.Join(string(body)); err != nil {
-			return err
-		}
-		return writeBlob(w, kindAck, nil)
+		err = c.Join(string(body))
 	case kindLeave:
-		if err := c.Leave(string(body)); err != nil {
-			return err
-		}
-		return writeBlob(w, kindAck, nil)
+		err = c.Leave(string(body))
 	case kindEvict:
-		if err := c.Evict(string(body)); err != nil {
-			return err
-		}
-		return writeBlob(w, kindAck, nil)
+		err = c.Evict(string(body))
 	default:
 		return fmt.Errorf("%w: unknown coordinator frame kind %q", ErrProtocol, kind)
 	}
+	if err != nil {
+		return err
+	}
+	return respond(kindAck, nil)
 }
 
 func moveKey(part int, to string) string {

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -398,23 +401,38 @@ func TestStaleClientRefreshesMap(t *testing.T) {
 	checkAgainstReference(t, rc, ref, false)
 }
 
-// TestV1ClientRejectedLoudly pins the compatibility boundary: a v1
-// static client talking to a v2 dynamic block gets an error naming the
-// protocol mismatch, never a silent empty result.
+// TestV1ClientRejectedLoudly pins the compatibility boundary: a retired
+// v1 'M' match frame gets an error frame naming a protocol error from
+// static and dynamic blocks alike, never a silent empty result.
 func TestV1ClientRejectedLoudly(t *testing.T) {
-	srv, err := ServeDynamic("127.0.0.1:0", nil)
+	static, err := Serve("127.0.0.1:0", core.Freeze(core.NewMatcher()))
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer static.Close()
+	dynamic, err := ServeDynamic("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatalf("ServeDynamic: %v", err)
 	}
-	defer srv.Close()
-	old, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer old.Close()
-	_, err = old.Match(core.EventSet{1, 2})
-	var remote *RemoteError
-	if !errors.As(err, &remote) {
-		t.Fatalf("v1 match against v2 block = %v, want a remote protocol error", err)
+	defer dynamic.Close()
+	for _, addr := range []string{static.Addr(), dynamic.Addr()} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		// v1 request: 'M' | n u32 | events (u32)*.
+		frame := []byte{'M', 2, 0, 0, 0}
+		frame = binary.LittleEndian.AppendUint32(frame, 1)
+		frame = binary.LittleEndian.AppendUint32(frame, 2)
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		_, _, err = readBlob(conn)
+		conn.Close()
+		var remote *RemoteError
+		if !errors.As(err, &remote) || !strings.Contains(remote.Msg, ErrProtocol.Error()) {
+			t.Fatalf("v1 match against %s = %v, want a remote protocol error", addr, err)
+		}
 	}
 }

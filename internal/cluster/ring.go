@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -50,7 +51,8 @@ type Map struct {
 	// Replicas is the target replication factor R. Partitions hold
 	// min(R, len(Blocks)) replicas.
 	Replicas int `json:"replicas"`
-	// Blocks lists the member block addresses, sorted.
+	// Blocks lists the member block addresses: sorted in a BuildMap map,
+	// in block order in a StaticMap.
 	Blocks []string `json:"blocks"`
 	// Assign lists, per partition, the preference-ordered replica
 	// addresses that fully host it — reads route to the first live entry.
@@ -105,6 +107,30 @@ func BuildMap(version uint64, replicas int, blocks []string) Map {
 		m.Assign[p] = owners
 	}
 	return m
+}
+
+// StaticMap is the fixed map of a static deployment: no coordinator,
+// one replica per partition, and partition p served by block
+// addrs[p % len(addrs)]. A base split with StaticBlock over the same
+// block count puts every subscription on the block this map reads it
+// from.
+func StaticMap(addrs []string) Map {
+	m := Map{Version: 1, Replicas: 1, Blocks: append([]string(nil), addrs...)}
+	m.Assign = make([][]string, NumPartitions)
+	if len(addrs) == 0 {
+		return m
+	}
+	for p := range m.Assign {
+		m.Assign[p] = []string{addrs[p%len(addrs)]}
+	}
+	return m
+}
+
+// StaticBlock returns the block, of n, that hosts a subscription with
+// the given events under StaticMap: PartitionOf(set) % n. The events
+// need not be canonical.
+func StaticBlock(events []core.Event, n int) int {
+	return PartitionOf(core.Canonical(events)) % n
 }
 
 // rendezvousScore is the FNV-1a weight of one (block, partition) pair.
@@ -214,7 +240,9 @@ func (m Map) Encode() []byte {
 	return b
 }
 
-// DecodeMap parses an encoded map and validates its shape.
+// DecodeMap parses an encoded map and validates its shape. Only the
+// bytes Encode produces are accepted: a map that would re-encode
+// differently (other spacing, key order or fields) is a protocol error.
 func DecodeMap(data []byte) (Map, error) {
 	var m Map
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -222,6 +250,9 @@ func DecodeMap(data []byte) (Map, error) {
 	}
 	if len(m.Assign) != NumPartitions {
 		return Map{}, fmt.Errorf("%w: partition map with %d partitions, want %d", ErrProtocol, len(m.Assign), NumPartitions)
+	}
+	if !bytes.Equal(m.Encode(), data) {
+		return Map{}, fmt.Errorf("%w: partition map not in canonical encoding", ErrProtocol)
 	}
 	return m, nil
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 
 	"xymon/internal/core"
@@ -131,6 +132,9 @@ func TestMapWireRoundtrip(t *testing.T) {
 	if _, err := DecodeMap([]byte("not json")); err == nil {
 		t.Fatal("DecodeMap accepted garbage")
 	}
+	if _, err := DecodeMap(append(m.Encode(), ' ')); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("DecodeMap of a non-canonical encoding = %v, want ErrProtocol", err)
+	}
 }
 
 // TestNeededPartitions checks the client-side routing set is exactly the
@@ -155,5 +159,28 @@ func TestNeededPartitions(t *testing.T) {
 	}
 	if got := neededPartitions(nil); len(got) != 0 {
 		t.Fatalf("empty set needs partitions %v", got)
+	}
+}
+
+// TestStaticMapAgreesWithStaticBlock pins the static placement rule: the
+// block StaticBlock splits a subscription onto is the one StaticMap reads
+// its partition from, and every partition has exactly that one replica.
+func TestStaticMapAgreesWithStaticBlock(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		addrs := make([]string, n)
+		for i := range addrs {
+			addrs[i] = string(rune('a'+i)) + ":1"
+		}
+		m := StaticMap(addrs)
+		if m.Version != 1 || m.Replicas != 1 || len(m.Assign) != NumPartitions {
+			t.Fatalf("StaticMap(%d) header = v%d R=%d %d partitions", n, m.Version, m.Replicas, len(m.Assign))
+		}
+		for e := core.Event(0); e < 500; e++ {
+			events := []core.Event{e + 7, e, e + 3}
+			p := PartitionOf(core.Canonical(events))
+			if owners := m.Assign[p]; len(owners) != 1 || owners[0] != addrs[StaticBlock(events, n)] {
+				t.Fatalf("n=%d events %v: partition %d owned by %v, StaticBlock says %s", n, events, p, owners, addrs[StaticBlock(events, n)])
+			}
+		}
 	}
 }

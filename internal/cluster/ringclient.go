@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"xymon/internal/core"
@@ -18,14 +17,15 @@ var ErrNoMap = errors.New("cluster: no partition map")
 // client can refetch them is a bug, not a condition to chase forever.
 const maxMapRefreshes = 3
 
-// RingClient is the v2 partition-map client. It routes every request by
-// the current map: matches fan out to the first live replica of each
-// needed partition and fail over to the next replica before ever
-// reporting degradation; Add/Remove are written to every replica plus
-// any joining destination (the client half of the double-write
-// invariant). Stale-map rejections from blocks trigger a refetch from
-// the coordinator, so clients converge on new maps without a push
-// channel.
+// RingClient is the cluster client. It routes every request by the
+// current partition map — a StaticMap for a static deployment (Dial), or
+// the coordinator's latest map (DialRing): matches fan out to the first
+// live replica of each needed partition and fail over to the next
+// replica before ever reporting degradation; Add/Remove are written to
+// every replica plus any joining destination (the client half of the
+// double-write invariant). Stale-map rejections from blocks trigger a
+// refetch from the coordinator, so clients converge on new maps without
+// a push channel.
 type RingClient struct {
 	cfg   clientConfig
 	coord string // coordinator address ("" = static map, no refresh)
@@ -144,7 +144,7 @@ func (c *RingClient) conn(addr string) (*blockConn, error) {
 	return bc, nil
 }
 
-// request runs one v2 request/response round trip against addr through
+// request runs one request/response round trip against addr through
 // the shared robustness envelope (reconnect, deadlines, bounded retries,
 // down-cooldown).
 func (c *RingClient) request(addr string, kind byte, payload []byte) (byte, []byte, error) {
@@ -170,15 +170,15 @@ func (c *RingClient) request(addr string, kind byte, payload []byte) (byte, []by
 // partition is among these.
 func neededPartitions(s core.EventSet) []uint32 {
 	var seen [NumPartitions]bool
-	var parts []uint32
 	for _, e := range s {
-		p := PartitionOfEvent(e)
-		if !seen[p] {
-			seen[p] = true
+		seen[PartitionOfEvent(e)] = true
+	}
+	var parts []uint32
+	for p, ok := range seen {
+		if ok {
 			parts = append(parts, uint32(p))
 		}
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i] < parts[j] })
 	return parts
 }
 
@@ -192,8 +192,10 @@ func (c *RingClient) Match(s core.EventSet) ([]core.ComplexID, error) {
 // needed partition is asked of its first live replica; a replica failure
 // re-routes that replica's partitions to the next choice (counted in
 // Stats().Failovers) — Degraded is set only when a partition runs out of
-// replicas entirely. A stale-map rejection refetches the map from the
-// coordinator and re-plans, bounded by maxMapRefreshes.
+// replicas entirely. When no partition is answered at all, the failure
+// is an error: there is nothing to degrade to. A stale-map rejection
+// refetches the map from the coordinator and re-plans, bounded by
+// maxMapRefreshes.
 func (c *RingClient) MatchResult(s core.EventSet) (Result, error) {
 	parts := neededPartitions(s)
 	if len(parts) == 0 {
@@ -241,22 +243,27 @@ func (c *RingClient) MatchResult(s core.EventSet) (Result, error) {
 // Partition sets sent to distinct blocks are disjoint, so the merged ids
 // carry no duplicates. stale=true means some block holds a newer map.
 func (c *RingClient) matchOnce(m Map, parts []uint32, events []uint32) (Result, bool, error) {
-	pending := make(map[uint32]bool, len(parts))
+	var pending [NumPartitions]bool
 	for _, p := range parts {
 		pending[p] = true
 	}
+	left := len(parts)
 	failed := make(map[string]bool)
 	var res Result
 	var firstErr error
 	answered := false
-	for round := 0; len(pending) > 0; round++ {
+	for left > 0 {
 		// Plan: each pending partition goes to its first replica not yet
-		// failed this match.
+		// failed this match. Walking partitions in order keeps each
+		// block's list sorted.
 		plan := make(map[string][]uint32)
-		for p := range pending {
+		for p, want := range pending {
+			if !want {
+				continue
+			}
 			for _, addr := range m.Assign[p] {
 				if !failed[addr] {
-					plan[addr] = append(plan[addr], p)
+					plan[addr] = append(plan[addr], uint32(p))
 					break
 				}
 			}
@@ -274,27 +281,35 @@ func (c *RingClient) matchOnce(m Map, parts []uint32, events []uint32) (Result, 
 		replies := make([]reply, 0, len(plan))
 		var mu sync.Mutex
 		var wg sync.WaitGroup
+		ask := func(addr string, ps []uint32) {
+			rep := reply{addr: addr, parts: ps}
+			kind, body, err := c.request(addr, kindMatchV2, encodeMatchV2(m.Version, ps, events))
+			switch {
+			case err != nil:
+				rep.err = err
+			case kind == kindStale:
+				rep.stale = true
+			case kind == kindResults:
+				rep.ids, rep.err = u32s(body)
+			default:
+				rep.err = fmt.Errorf("%w: block answered %q to a match", ErrProtocol, kind)
+			}
+			mu.Lock()
+			replies = append(replies, rep)
+			mu.Unlock()
+		}
+		// The calling goroutine asks the last block itself.
+		n := 0
 		for addr, ps := range plan {
+			if n++; n == len(plan) {
+				ask(addr, ps)
+				break
+			}
 			wg.Add(1)
-			go func(addr string, ps []uint32) {
+			go func() {
 				defer wg.Done()
-				sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-				rep := reply{addr: addr, parts: ps}
-				kind, body, err := c.request(addr, kindMatchV2, encodeMatchV2(m.Version, ps, events))
-				switch {
-				case err != nil:
-					rep.err = err
-				case kind == kindStale:
-					rep.stale = true
-				case kind == kindResults:
-					rep.ids, rep.err = u32s(body)
-				default:
-					rep.err = fmt.Errorf("%w: block answered %q to a match", ErrProtocol, kind)
-				}
-				mu.Lock()
-				replies = append(replies, rep)
-				mu.Unlock()
-			}(addr, ps)
+				ask(addr, ps)
+			}()
 		}
 		wg.Wait()
 		for _, rep := range replies {
@@ -315,21 +330,24 @@ func (c *RingClient) matchOnce(m Map, parts []uint32, events []uint32) (Result, 
 				if !containsAddr(res.Down, rep.addr) {
 					res.Down = append(res.Down, rep.addr)
 				}
-				if round == 0 {
-					// These partitions get a second chance below; count
-					// the re-route, not the final outcome.
-					c.st.failovers.Add(1)
-				}
 			default:
 				answered = true
 				res.IDs = append(res.IDs, idsOf(rep.ids)...)
 				for _, p := range rep.parts {
-					delete(pending, p)
+					pending[p] = false
 				}
+				left -= len(rep.parts)
+			}
+		}
+		// A failed block counts as a failover only if the next round
+		// re-plans some of its partitions onto another replica.
+		for _, rep := range replies {
+			if rep.err != nil && hasLiveReplica(m, rep.parts, failed) {
+				c.st.failovers.Add(1)
 			}
 		}
 	}
-	if len(pending) > 0 {
+	if left > 0 {
 		if !answered {
 			// Nothing answered at all: an error, not a degraded result —
 			// there is nothing to degrade to.
@@ -341,6 +359,19 @@ func (c *RingClient) matchOnce(m Map, parts []uint32, events []uint32) (Result, 
 		res.Degraded = true
 	}
 	return res, false, nil
+}
+
+// hasLiveReplica reports whether any of parts has a replica not yet
+// failed in this match.
+func hasLiveReplica(m Map, parts []uint32, failed map[string]bool) bool {
+	for _, p := range parts {
+		for _, addr := range m.Assign[p] {
+			if !failed[addr] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func idsOf(raw []uint32) []core.ComplexID {
@@ -445,7 +476,17 @@ func (c *RingClient) Probe() int {
 
 // Health snapshots the liveness of every block in the current map.
 func (c *RingClient) Health() []BlockHealth {
-	return healthOf(c.blockConns())
+	conns := c.blockConns()
+	out := make([]BlockHealth, 0, len(conns))
+	for _, bc := range conns {
+		bc.mu.Lock()
+		out = append(out, BlockHealth{
+			Addr: bc.addr, Up: bc.conn != nil,
+			Fails: bc.downFails, DownUntil: bc.downUntil,
+		})
+		bc.mu.Unlock()
+	}
+	return out
 }
 
 // blockConns returns the conn state of every block in the current map,

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,7 +95,7 @@ func TestAcceptLoopBackoffStopsOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ServeDynamic: %v", err)
 	}
-	srv.ln.Close() // out-of-band: acceptLoop sees persistent errors
+	srv.acc.ln.Close() // out-of-band: acceptLoop sees persistent errors
 	time.Sleep(50 * time.Millisecond)
 	done := make(chan struct{})
 	go func() {
@@ -287,4 +288,101 @@ func dyn2(t *testing.T) *core.Matcher {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// TestOutOfRangePartitionRejected sends raw frames naming partition 66.
+// It must be a protocol error everywhere: taken modulo NumPartitions it
+// used to alias partition 2 on a block without a map.
+func TestOutOfRangePartitionRejected(t *testing.T) {
+	events := []core.Event{eventInPartition(2)}
+	m := core.NewMatcher()
+	if err := m.Add(1, events); err != nil {
+		t.Fatal(err)
+	}
+	static, err := Serve("127.0.0.1:0", core.Freeze(m))
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer static.Close()
+	dm := core.NewMatcher()
+	if err := dm.Add(1, events); err != nil {
+		t.Fatal(err)
+	}
+	dynamic, err := ServeDynamic("127.0.0.1:0", dm)
+	if err != nil {
+		t.Fatalf("ServeDynamic: %v", err)
+	}
+	defer dynamic.Close()
+
+	// In range, both blocks answer partition 2 with id 1.
+	for _, addr := range []string{static.Addr(), dynamic.Addr()} {
+		kind, body := rawExchange(t, addr, kindMatchV2, encodeMatchV2(1, []uint32{2}, eventsToU32(events)))
+		if kind != kindResults || len(body) != 4 || body[0] != 1 {
+			t.Fatalf("%s: partition 2 answered %q %v, want id 1", addr, kind, body)
+		}
+	}
+	frames := []struct {
+		addr    string
+		kind    byte
+		payload []byte
+	}{
+		{static.Addr(), kindMatchV2, encodeMatchV2(1, []uint32{66}, eventsToU32(events))},
+		{dynamic.Addr(), kindMatchV2, encodeMatchV2(1, []uint32{66}, eventsToU32(events))},
+		{dynamic.Addr(), kindDump, encodeU32(66)},
+		{dynamic.Addr(), kindDrop, encodeU32(66)},
+	}
+	for _, f := range frames {
+		kind, body := rawExchange(t, f.addr, f.kind, f.payload)
+		if kind != kindError || !strings.Contains(string(body), "partition 66 out of range") {
+			t.Errorf("%q for partition 66 answered %q %q, want a protocol error", f.kind, kind, body)
+		}
+	}
+	if dynamic.Len() != 1 {
+		t.Errorf("dynamic block lost its subscription to a bad drop: Len = %d", dynamic.Len())
+	}
+}
+
+// eventInPartition returns the smallest event of partition p.
+func eventInPartition(p int) core.Event {
+	for e := core.Event(1); ; e++ {
+		if PartitionOfEvent(e) == p {
+			return e
+		}
+	}
+}
+
+// TestStaticBlockIsReadOnly pins that a frozen block refuses every
+// frame that would change or export its base.
+func TestStaticBlockIsReadOnly(t *testing.T) {
+	m := core.NewMatcher()
+	if err := m.Add(1, []core.Event{4}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve("127.0.0.1:0", core.Freeze(m))
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+	for _, f := range []struct {
+		kind    byte
+		payload []byte
+	}{
+		{kindAdd, encodeSubOp(1, 2, []uint32{5})},
+		{kindRemove, encodeSubOp(1, 1, nil)},
+		{kindDump, encodeU32(uint32(PartitionOfEvent(4)))},
+		{kindDrop, encodeU32(uint32(PartitionOfEvent(4)))},
+	} {
+		kind, body := rawExchange(t, srv.Addr(), f.kind, f.payload)
+		if kind != kindError || !strings.Contains(string(body), ErrProtocol.Error()) {
+			t.Errorf("%q answered %q %q, want a protocol error", f.kind, kind, body)
+		}
+	}
+	if srv.Len() != 1 {
+		t.Errorf("static block Len = %d after rejected writes, want 1", srv.Len())
+	}
+	rc := NewRingClientWithMap(StaticMap([]string{srv.Addr()}))
+	defer rc.Close()
+	if ids, err := rc.Match(core.EventSet{4}); err != nil || len(ids) != 1 || ids[0] != 1 {
+		t.Fatalf("Match after rejected writes = %v, %v", ids, err)
+	}
 }

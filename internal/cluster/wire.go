@@ -8,13 +8,15 @@ import (
 	"xymon/internal/core"
 )
 
-// Protocol v2: the partition-map protocol. Every message is a blob
-// frame — kind byte, u32 little-endian byte length, payload — so the
-// control plane and the match path share one framing and one size guard.
-// Version 1 ('M' count-framed match requests) is still spoken by the
-// static Serve/Dial pair; a v2 block answers a v1 request with an error
-// frame naming the version mismatch, so old clients fail loudly instead
-// of silently losing partitions.
+// The partition-map protocol, the only one blocks and coordinators
+// speak. Every message is a blob frame — kind byte, u32 little-endian
+// byte length, payload — so the control plane and the match path share
+// one framing and one size guard. Any other frame kind, including the
+// retired v1 count-framed match request, is answered with an error
+// frame, so an old client fails loudly instead of silently losing
+// partitions. A read-only static block (Serve) answers '+', '-', 'd' and
+// 'x' with an error frame too. Partition numbers at or above
+// NumPartitions are protocol errors.
 //
 // Frame kinds (requests → responses):
 //
@@ -47,7 +49,7 @@ const (
 	kindError   = 'E'
 )
 
-// maxBlob bounds a v2 frame's payload: a full 64-partition dump of a
+// maxBlob bounds a frame's payload: a full 64-partition dump of a
 // million 4-event subscriptions still fits, anything bigger is a
 // protocol error, not a request to buffer gigabytes.
 const maxBlob = 8 << 20
@@ -59,7 +61,7 @@ type Sub struct {
 	Events core.EventSet  `json:"events"`
 }
 
-// writeBlob frames one v2 message.
+// writeBlob frames one message.
 func writeBlob(w io.Writer, kind byte, payload []byte) error {
 	if len(payload) > maxBlob {
 		return fmt.Errorf("%w: %d-byte frame exceeds the %d-byte cap", ErrProtocol, len(payload), maxBlob)
@@ -170,6 +172,11 @@ func decodeMatchV2(b []byte) (ver uint64, parts, events []uint32, err error) {
 	if parts, err = u32s(rest[:4*np]); err != nil {
 		return 0, nil, nil, err
 	}
+	for _, p := range parts {
+		if p >= NumPartitions {
+			return 0, nil, nil, fmt.Errorf("%w: partition %d out of range", ErrProtocol, p)
+		}
+	}
 	if events, err = u32s(rest[4*np:]); err != nil {
 		return 0, nil, nil, err
 	}
@@ -206,11 +213,16 @@ func encodeU32(v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(nil, v)
 }
 
-func decodeU32(b []byte) (uint32, error) {
+// decodePart reads the 'd'/'x' payload: one partition number.
+func decodePart(b []byte) (int, error) {
 	if len(b) != 4 {
 		return 0, fmt.Errorf("%w: expected a u32 payload, got %d bytes", ErrProtocol, len(b))
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	p := binary.LittleEndian.Uint32(b)
+	if p >= NumPartitions {
+		return 0, fmt.Errorf("%w: partition %d out of range", ErrProtocol, p)
+	}
+	return int(p), nil
 }
 
 func encodeU64(v uint64) []byte {

@@ -98,6 +98,26 @@ func (c *Compact) MatchAppend(dst []ComplexID, s EventSet) []ComplexID {
 	return c.notif(dst, 0, c.rootLen, s)
 }
 
+// MatchRootsAppend is MatchAppend restricted to the complex events
+// whose minimal event keep accepts. Every complex event hangs under the
+// root entry of its minimal event, so the walk skips whole rejected
+// subtrees: a block asked for part of its base pays only for that part.
+func (c *Compact) MatchRootsAppend(dst []ComplexID, s EventSet, keep func(Event) bool) []ComplexID {
+	root := c.entries[:c.rootLen]
+	for i, e := range s {
+		j := find(root, e)
+		if j < 0 || !keep(e) {
+			continue
+		}
+		ent := &root[j]
+		dst = append(dst, c.marks[ent.markOff:ent.markOff+ent.markLen]...)
+		if ent.childOff >= 0 && i+1 < len(s) {
+			dst = c.notif(dst, ent.childOff, ent.childLen, s[i+1:])
+		}
+	}
+	return dst
+}
+
 func (c *Compact) notif(dst []ComplexID, off, n int32, s EventSet) []ComplexID {
 	table := c.entries[off : off+n]
 	if len(table) < len(s) {
@@ -116,26 +136,43 @@ func (c *Compact) notif(dst []ComplexID, off, n int32, s EventSet) []ComplexID {
 		return dst
 	}
 	for i, e := range s {
-		// Binary search within the sorted table run.
-		lo, hi := 0, len(table)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if table[mid].event < e {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo >= len(table) || table[lo].event != e {
+		j := find(table, e)
+		if j < 0 {
 			continue
 		}
-		ent := &table[lo]
+		ent := &table[j]
 		dst = append(dst, c.marks[ent.markOff:ent.markOff+ent.markLen]...)
 		if ent.childOff >= 0 && i+1 < len(s) {
 			dst = c.notif(dst, ent.childOff, ent.childLen, s[i+1:])
 		}
 	}
 	return dst
+}
+
+// find binary-searches the event-sorted table run for e and returns its
+// index, or -1 when e is absent.
+func find(table []compactEntry, e Event) int {
+	lo, hi := 0, len(table)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if table[mid].event < e {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(table) && table[lo].event == e {
+		return lo
+	}
+	return -1
+}
+
+// Heads calls fn with the minimal event of every frozen complex event,
+// each distinct event once, in ascending order.
+func (c *Compact) Heads(fn func(Event)) {
+	for _, ent := range c.entries[:c.rootLen] {
+		fn(ent.event)
+	}
 }
 
 // Len returns the number of frozen complex events.

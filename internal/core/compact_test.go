@@ -87,3 +87,62 @@ func TestCompactMatchAppend(t *testing.T) {
 		t.Errorf("MatchAppend = %v (cap %d)", out, cap(out))
 	}
 }
+
+// TestCompactMatchRootsAppend checks the root-restricted walk against a
+// full match filtered by each hit's minimal event.
+func TestCompactMatchRootsAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	const universe = 120
+	m := NewMatcher()
+	least := make(map[ComplexID]Event)
+	for id := ComplexID(0); id < 600; id++ {
+		events := make([]Event, 1+rng.Intn(4))
+		for i := range events {
+			events[i] = Event(rng.Intn(universe))
+		}
+		if err := m.Add(id, events); err != nil {
+			t.Fatalf("Add: %v", err)
+		}
+		least[id] = Canonical(events)[0]
+	}
+	c := Freeze(m)
+	keep := func(e Event) bool { return e%3 != 1 }
+	for doc := 0; doc < 50; doc++ {
+		s := randomSet(rng, 25, universe)
+		var want []ComplexID
+		for _, id := range c.Match(s) {
+			if keep(least[id]) {
+				want = append(want, id)
+			}
+		}
+		got := c.MatchRootsAppend(nil, s, keep)
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if !equalIDs(got, want) {
+			t.Fatalf("MatchRootsAppend(%v) = %v, want %v", s, got, want)
+		}
+	}
+	if got := c.MatchRootsAppend(nil, EventSet{1, 2, 3}, func(Event) bool { return false }); len(got) != 0 {
+		t.Errorf("reject-all walk matched %v", got)
+	}
+
+	// Heads lists exactly the distinct minimal events, ascending.
+	var heads EventSet
+	c.Heads(func(e Event) { heads = append(heads, e) })
+	var want []Event
+	for _, e := range least {
+		want = append(want, e)
+	}
+	if wantSet := Canonical(want); len(heads) != len(wantSet) || !equalEvents(heads, wantSet) {
+		t.Errorf("Heads = %v, want %v", heads, wantSet)
+	}
+}
+
+func equalEvents(a, b EventSet) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}

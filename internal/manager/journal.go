@@ -61,83 +61,6 @@ type Compacter interface {
 	Compact(live []Record) error
 }
 
-// FileJournal appends JSON-lines records to a file. It is a thin adapter
-// over a wal.File with line framing: one handle held for the journal's
-// lifetime (it used to reopen and fsync the file on every Append), the
-// same on-disk format, and the same torn-tail recovery — now shared with
-// the binary WAL.
-type FileJournal struct {
-	f *wal.File
-}
-
-// FileJournalOption configures NewFileJournal.
-type FileJournalOption func(*wal.FileOptions)
-
-// WithSyncEvery batches the journal's fsync across appends (group
-// commit): every nth Append syncs, carrying the n-1 before it. The
-// default (and any n < 2) syncs every append, as the journal always has.
-func WithSyncEvery(n int) FileJournalOption {
-	return func(o *wal.FileOptions) { o.SyncEvery = n }
-}
-
-// NewFileJournal opens (creating if needed) a journal at path.
-func NewFileJournal(path string, opts ...FileJournalOption) (*FileJournal, error) {
-	o := wal.FileOptions{Framing: wal.Lines{}}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	f, err := wal.OpenFile(path, o)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	return &FileJournal{f: f}, nil
-}
-
-// Append writes one JSON line; fsync follows the WithSyncEvery policy
-// (default: every append).
-func (j *FileJournal) Append(r Record) error {
-	enc, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := j.f.Append(enc); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return nil
-}
-
-// Records reads back every journal line. A final line without its
-// terminating newline is a torn tail — the crash happened mid-Append —
-// and is discarded (and truncated away, so the next Append starts on a
-// clean boundary) rather than failing the whole recovery: every record
-// before it was durably synced and must come back. Corruption anywhere
-// else (a terminated line that does not parse) still fails loudly — that
-// is not a crash artifact, the file was damaged.
-func (j *FileJournal) Records() ([]Record, error) {
-	var out []Record
-	err := j.f.Replay(func(line []byte) error {
-		if len(line) == 0 {
-			return nil
-		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			return fmt.Errorf("journal: corrupt record: %w", err)
-		}
-		out = append(out, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Sync flushes any fsync a WithSyncEvery policy is still holding back.
-func (j *FileJournal) Sync() error { return j.f.Sync() }
-
-// Close syncs pending appends and releases the journal's file handle.
-func (j *FileJournal) Close() error { return j.f.Close() }
-
 // WALJournal stores the subscription base in a segmented, checkpointed
 // wal.Log: binary CRC-framed records, rotation, and compaction of
 // everything a checkpoint covers. The checkpoint snapshot is the JSON

@@ -190,33 +190,3 @@ report when immediate`)
 		t.Fatalf("recovered subs = %v", subs)
 	}
 }
-
-// TestFileJournalSyncEveryAndClose covers the satellite fix: one handle
-// for the journal's lifetime, group-commit batching, and Close.
-func TestFileJournalSyncEveryAndClose(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := NewFileJournal(path, WithSyncEvery(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := j.Append(Record{Op: "subscribe", Name: string(rune('a' + i))}); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	// All five reached the OS even though no fsync boundary was hit.
-	if got, err := j.Records(); err != nil || len(got) != 5 {
-		t.Fatalf("Records mid-batch = %d, %v", len(got), err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	j2, err := NewFileJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if got, err := j2.Records(); err != nil || len(got) != 5 {
-		t.Fatalf("Records after Close/reopen = %d, %v", len(got), err)
-	}
-}

@@ -2,7 +2,6 @@ package manager
 
 import (
 	"errors"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -427,11 +426,7 @@ refresh "http://a.example/y.xml" monthly`)
 
 func TestJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "journal.jsonl")
-	j, err := NewFileJournal(path)
-	if err != nil {
-		t.Fatalf("NewFileJournal: %v", err)
-	}
+	j := newWALJournal(t, dir)
 	r := newRig(t, j)
 	r.subscribe(watchInria)
 	r.subscribe(`subscription Gone
@@ -442,10 +437,10 @@ report when immediate`)
 	}
 
 	// A fresh system recovers the base from the journal.
-	j2, err := NewFileJournal(path)
-	if err != nil {
-		t.Fatalf("reopen journal: %v", err)
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
+	j2 := newWALJournal(t, dir)
 	r2 := newRig(t, nil)
 	if err := r2.mgr.Recover(j2); err != nil {
 		t.Fatalf("Recover: %v", err)

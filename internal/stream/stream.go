@@ -86,8 +86,6 @@ type Options struct {
 	// 0 means the wal default (1 MiB). Retention granularity is the
 	// segment, so smaller segments reclaim space sooner.
 	SegmentBytes int64
-	// SyncEvery batches fsync across appends; see wal.FileOptions.
-	SyncEvery int
 	// MaxBehind is the retention floor: Retain never preserves more
 	// than this many records behind the head, even for a live lagging
 	// cursor — the consumer is truncated (ErrTruncated + re-sync)
@@ -131,7 +129,7 @@ func Open(dir string, o Options) (*Log, error) {
 	if err := l.hook(OpRead, l.key); err != nil {
 		return nil, err
 	}
-	w, err := wal.Open(dir, wal.Options{SegmentBytes: o.SegmentBytes, SyncEvery: o.SyncEvery, Hook: o.Hook})
+	w, err := wal.Open(dir, wal.Options{SegmentBytes: o.SegmentBytes, Hook: o.Hook})
 	if err != nil {
 		return nil, err
 	}

@@ -21,12 +21,6 @@ const (
 type FileOptions struct {
 	// Framing delimits records; nil means Binary{}.
 	Framing Framing
-	// SyncEvery batches fsync across appends (group commit): every Nth
-	// append syncs, carrying the N-1 before it. Values below 2 sync
-	// every append — the durable default. Writes always reach the OS
-	// immediately; only the fsync is batched, so a process crash loses
-	// nothing and a machine crash loses at most the last N-1 records.
-	SyncEvery int
 	// Hook, when non-nil, is consulted at OpFileAppend and OpFileSync
 	// with the file path as key; an error fails the operation before the
 	// write (or fsync) happens. This is the File's fault seam — the Log
@@ -35,17 +29,15 @@ type FileOptions struct {
 }
 
 // File is one append-only log file of frames. The handle is opened once
-// and held for the File's lifetime (the subscription journal used to
-// reopen and fsync per record — see NewFileJournal's history). Safe for
-// concurrent use.
+// and held for the File's lifetime, and every Append is fsynced before
+// it returns. Safe for concurrent use.
 type File struct {
 	mu       sync.Mutex
 	path     string
 	f        *os.File
 	fr       Framing
 	hook     Hook
-	every    int
-	unsynced int
+	unsynced int // appends written but not yet fsynced (a failed sync)
 	buf      []byte
 	size     int64
 }
@@ -54,9 +46,6 @@ type File struct {
 func OpenFile(path string, o FileOptions) (*File, error) {
 	if o.Framing == nil {
 		o.Framing = Binary{}
-	}
-	if o.SyncEvery < 2 {
-		o.SyncEvery = 1
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -67,7 +56,7 @@ func OpenFile(path string, o FileOptions) (*File, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	return &File{path: path, f: f, fr: o.Framing, hook: o.Hook, every: o.SyncEvery, size: st.Size()}, nil
+	return &File{path: path, f: f, fr: o.Framing, hook: o.Hook, size: st.Size()}, nil
 }
 
 func (w *File) consult(op string) error {
@@ -77,8 +66,7 @@ func (w *File) consult(op string) error {
 	return w.hook(op, w.path)
 }
 
-// Append frames payload onto the file. The write reaches the OS before
-// Append returns; fsync follows the SyncEvery policy.
+// Append frames payload onto the file and fsyncs it before returning.
 func (w *File) Append(payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -102,10 +90,7 @@ func (w *File) appendLocked(payload []byte) error {
 	}
 	w.size += int64(len(buf))
 	w.unsynced++
-	if w.unsynced >= w.every {
-		return w.syncLocked()
-	}
-	return nil
+	return w.syncLocked()
 }
 
 func (w *File) syncLocked() error {
@@ -122,13 +107,6 @@ func (w *File) syncLocked() error {
 	return nil
 }
 
-// Sync flushes any fsync the SyncEvery policy is still holding back.
-func (w *File) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncLocked()
-}
-
 // Size returns the current file size in bytes (frames written, torn
 // tail included until Replay truncates it).
 func (w *File) Size() int64 {
@@ -137,7 +115,8 @@ func (w *File) Size() int64 {
 	return w.size
 }
 
-// Close syncs pending appends and releases the handle.
+// Close fsyncs any append whose own fsync failed and releases the
+// handle.
 func (w *File) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -9,10 +9,9 @@
 //
 //   - Framing: how records are delimited on disk. Binary frames carry a
 //     length prefix and a CRC32C; Lines frames are newline-terminated
-//     (the subscription journal's historical JSON-lines format).
+//     JSON (the cluster coordinator's transfer journal).
 //   - File: one append-only file of frames, held open for its lifetime,
-//     with group-commit fsync (SyncEvery) and torn-tail truncation on
-//     replay.
+//     with an fsync per append and torn-tail truncation on replay.
 //   - Log: a directory of rotated segment files plus a checkpoint
 //     installed via temp file → fsync → rename → parent-dir fsync, with
 //     compaction of the segments a checkpoint covers.

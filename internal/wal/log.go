@@ -19,8 +19,8 @@ import (
 const (
 	// OpAppend fires on entry to Append, before any byte is written.
 	OpAppend = "wal.append"
-	// OpAppendDone fires after the frame reached the OS (and fsync,
-	// per the SyncEvery policy), before the append is acknowledged.
+	// OpAppendDone fires after the frame reached the OS and was
+	// fsynced, before the append is acknowledged.
 	OpAppendDone = "wal.append.done"
 	// OpCheckpointTemp fires after the checkpoint temp file is written
 	// and fsynced, before the rename installs it.
@@ -44,15 +44,12 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it reaches this many
 	// bytes; 0 means 1 MiB.
 	SegmentBytes int64
-	// SyncEvery batches fsync across appends; see FileOptions.
-	SyncEvery int
 	// MaxFrame caps record size; 0 means DefaultMaxFrame. Ignored when
 	// Framing is set.
 	MaxFrame int
 	// Framing substitutes the record codec; nil means Binary (length ‖
 	// CRC32C frames). The cluster coordinator's transfer journal passes
-	// Lines to keep its records greppable JSON, the same trade the
-	// subscription journal makes.
+	// Lines to keep its records greppable JSON.
 	Framing Framing
 	// Hook, when non-nil, is consulted at every Op point with the log's
 	// key (the directory's base name).
@@ -231,7 +228,7 @@ func (l *Log) loadSegments() error {
 	} else if !os.IsNotExist(err) {
 		return fmt.Errorf("wal: %w", err)
 	}
-	seg, err := OpenFile(active, FileOptions{Framing: l.fr, SyncEvery: l.o.SyncEvery})
+	seg, err := OpenFile(active, FileOptions{Framing: l.fr})
 	if err != nil {
 		return err
 	}
@@ -274,7 +271,7 @@ func (l *Log) rotateLocked() error {
 		return err
 	}
 	next := l.segs[len(l.segs)-1] + 1
-	seg, err := OpenFile(filepath.Join(l.dir, segName(next)), FileOptions{Framing: l.fr, SyncEvery: l.o.SyncEvery})
+	seg, err := OpenFile(filepath.Join(l.dir, segName(next)), FileOptions{Framing: l.fr})
 	if err != nil {
 		return err
 	}
@@ -282,16 +279,6 @@ func (l *Log) rotateLocked() error {
 	l.segs = append(l.segs, next)
 	l.stats.Rotations++
 	return nil
-}
-
-// Sync flushes any fsync the SyncEvery policy is holding back.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	return l.seg.Sync()
 }
 
 // Recover hands the latest checkpoint snapshot (if any) to snap, then

@@ -297,9 +297,23 @@ func TestLogCrashResidue(t *testing.T) {
 	})
 }
 
-func TestFileSyncEveryGroupCommit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "grouped.wal")
-	f, err := OpenFile(path, FileOptions{SyncEvery: 8})
+// TestFileAppendSyncsBeforeReturn pins the File's durability contract:
+// every Append fsyncs before it returns, an fsync failure fails its
+// Append, and Close fsyncs again whatever a failed fsync left behind.
+func TestFileAppendSyncsBeforeReturn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "synced.wal")
+	syncs, failNext := 0, false
+	f, err := OpenFile(path, FileOptions{Hook: func(op, _ string) error {
+		if op != OpFileSync {
+			return nil
+		}
+		if failNext {
+			failNext = false
+			return errors.New("injected fsync failure")
+		}
+		syncs++
+		return nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,18 +321,27 @@ func TestFileSyncEveryGroupCommit(t *testing.T) {
 		if err := f.Append([]byte(fmt.Sprintf("g-%d", i))); err != nil {
 			t.Fatal(err)
 		}
+		if syncs != i+1 {
+			t.Fatalf("append %d returned after %d fsyncs", i, syncs)
+		}
 	}
-	// Writes reach the OS immediately even when the fsync is batched:
-	// every record is visible to a replay right now.
+	failNext = true
+	if err := f.Append([]byte("unsynced")); err == nil {
+		t.Fatal("Append hid its failed fsync")
+	}
+	// The write reached the OS even though its fsync failed.
 	var n int
 	if err := f.Replay(func([]byte) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if n != 10 {
-		t.Fatalf("replay saw %d of 10 unsynced-batch records", n)
+	if n != 11 {
+		t.Fatalf("replay saw %d of 11 records", n)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if syncs != 11 {
+		t.Fatalf("Close left the failed fsync unretried: %d fsyncs", syncs)
 	}
 }
 

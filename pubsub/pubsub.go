@@ -16,8 +16,10 @@
 //	m.Add(2, []pubsub.Event{purchase, bigBasket})
 //	hits := m.Match(pubsub.Canonical([]pubsub.Event{login, purchase, bigBasket}))
 //
-// For scale-out, Freeze a matcher into a compact serialisable snapshot
-// and serve partition blocks over TCP with Serve/Dial.
+// For scale-out, split the subscriptions over n blocks with StaticBlock,
+// Freeze each block's matcher into a compact serialisable snapshot,
+// serve the blocks over TCP with Serve, and Dial their addresses in
+// block order.
 package pubsub
 
 import (
@@ -45,8 +47,8 @@ type (
 	Stats = core.Stats
 	// Server serves one partition block over TCP.
 	Server = cluster.Server
-	// Client fans matches out to several partition blocks.
-	Client = cluster.Client
+	// Client fans matches out to the partition blocks.
+	Client = cluster.RingClient
 )
 
 // Errors re-exported from the implementation.
@@ -79,11 +81,16 @@ func Freeze(m *Matcher) *Compact { return core.Freeze(m) }
 // ReadCompact deserialises a snapshot written with Compact.WriteTo.
 func ReadCompact(r io.Reader) (*Compact, error) { return core.ReadCompact(r) }
 
-// Serve exposes a frozen partition block over TCP; addr "127.0.0.1:0"
+// Serve exposes a frozen partition block over TCP, read-only; addr "127.0.0.1:0"
 // picks a free port (see Server.Addr).
 func Serve(addr string, block *Compact) (*Server, error) {
 	return cluster.Serve(addr, block)
 }
 
-// Dial connects to block servers for fan-out matching.
+// StaticBlock returns the block, of n, that must hold a subscription
+// with the given events for a client from Dial to find it.
+func StaticBlock(events []Event, n int) int { return cluster.StaticBlock(events, n) }
+
+// Dial connects to block servers for fan-out matching; addrs[i] must
+// serve block i of a base split by StaticBlock.
 func Dial(addrs ...string) (*Client, error) { return cluster.Dial(addrs...) }

@@ -2,6 +2,7 @@ package pubsub_test
 
 import (
 	"bytes"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -71,5 +72,66 @@ func TestPublicSurface(t *testing.T) {
 	remote, err := client.Match(s)
 	if err != nil || len(remote) != 2 {
 		t.Errorf("remote Match = %v, %v", remote, err)
+	}
+}
+
+// TestStaticBlocksAgreeWithLocal splits a base over three TCP blocks
+// with StaticBlock and requires every remote match set to equal the
+// local matcher's.
+func TestStaticBlocksAgreeWithLocal(t *testing.T) {
+	const blocks, universe = 3, 90
+	rng := rand.New(rand.NewSource(5))
+	local := pubsub.NewMatcher()
+	parts := make([]*pubsub.Matcher, blocks)
+	for i := range parts {
+		parts[i] = pubsub.NewMatcher()
+	}
+	for id := pubsub.ComplexID(0); id < 600; id++ {
+		events := make([]pubsub.Event, 1+rng.Intn(3))
+		for i := range events {
+			events[i] = pubsub.Event(rng.Intn(universe))
+		}
+		if err := local.Add(id, events); err != nil {
+			t.Fatal(err)
+		}
+		if err := parts[pubsub.StaticBlock(events, blocks)].Add(id, events); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addrs := make([]string, blocks)
+	for i, part := range parts {
+		srv, err := pubsub.Serve("127.0.0.1:0", pubsub.Freeze(part))
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+		defer srv.Close()
+		addrs[i] = srv.Addr()
+	}
+	client, err := pubsub.Dial(addrs...)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer client.Close()
+	for doc := 0; doc < 100; doc++ {
+		events := make([]pubsub.Event, 1+rng.Intn(20))
+		for i := range events {
+			events[i] = pubsub.Event(rng.Intn(universe))
+		}
+		s := pubsub.Canonical(events)
+		remote, err := client.Match(s)
+		if err != nil {
+			t.Fatalf("Match: %v", err)
+		}
+		want := local.Match(s)
+		sort.Slice(remote, func(i, j int) bool { return remote[i] < remote[j] })
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if len(remote) != len(want) {
+			t.Fatalf("Match(%v) = %v, local %v", s, remote, want)
+		}
+		for i := range want {
+			if remote[i] != want[i] {
+				t.Fatalf("Match(%v) = %v, local %v", s, remote, want)
+			}
+		}
 	}
 }

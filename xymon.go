@@ -83,9 +83,6 @@ type Options struct {
 	Clock func() time.Time
 	// Delivery receives reports; nil discards them.
 	Delivery Delivery
-	// JournalPath persists the subscription base to a JSON-lines file for
-	// recovery; empty keeps it in memory only. DurableDir supersedes it.
-	JournalPath string
 	// DurableDir enables the crash-safe durability layer: write-ahead
 	// logs under this directory persist the subscription base (subs/),
 	// the Reporter's notification buffers and undelivered reports
@@ -212,13 +209,6 @@ func New(opts Options) (*System, error) {
 			return fail(err)
 		}
 		s.closers = append(s.closers, s.Stream)
-	} else if opts.JournalPath != "" {
-		fj, err := manager.NewFileJournal(opts.JournalPath)
-		if err != nil {
-			return nil, err
-		}
-		journal = fj
-		s.closers = append(s.closers, fj)
 	}
 
 	repOpts := []reporter.Option{reporter.WithClock(clock)}

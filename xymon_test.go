@@ -1,7 +1,6 @@
 package xymon
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -142,15 +141,19 @@ report when immediate`)
 }
 
 func TestJournalPersistenceAcrossSystems(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	sys1, _, _ := newSystem(t, Options{JournalPath: path})
+	dir := t.TempDir()
+	sys1, _, _ := newSystem(t, Options{DurableDir: dir})
 	if _, err := sys1.Subscribe(`subscription Persistent
 monitoring select <P url=URL/> where URL extends "http://p.example/" and modified self
 report when immediate`); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
+	if err := sys1.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
 
-	sys2, _, reports2 := newSystem(t, Options{JournalPath: path})
+	sys2, _, reports2 := newSystem(t, Options{DurableDir: dir})
+	defer sys2.Close()
 	if got := sys2.Manager.Subscriptions(); len(got) != 1 || got[0] != "Persistent" {
 		t.Fatalf("recovered subscriptions = %v", got)
 	}
