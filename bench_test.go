@@ -4,7 +4,6 @@
 package xymon
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -594,32 +593,6 @@ report when notifications.count > 1000`
 			}
 		})
 	}
-}
-
-// BenchmarkParse compares the two DOM construction paths over the same
-// serialized catalog: the stdlib-decoder Parse (kept as the
-// differential-fuzz reference) against ParseBytes, the byte tokenizer
-// with arena node allocation the crawler ingests through.
-func BenchmarkParse(b *testing.B) {
-	site := webgen.NewSite(webgen.SiteSpec{Products: 100, Seed: 12})
-	url := site.XMLURLs()[0]
-	data := site.FetchXMLBytes(url, 5)
-	b.Run("stdlib", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := xmldom.Parse(bytes.NewReader(data)); err != nil {
-				b.Fatalf("Parse: %v", err)
-			}
-		}
-	})
-	b.Run("bytes", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := xmldom.ParseBytes(data); err != nil {
-				b.Fatalf("ParseBytes: %v", err)
-			}
-		}
-	})
 }
 
 // BenchmarkCrawlAlert measures a full crawl→alert round over a corpus

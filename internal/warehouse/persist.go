@@ -31,7 +31,9 @@ type manifestEntry struct {
 	LastAccessed time.Time `json:"last_accessed"`
 	LastUpdate   time.Time `json:"last_update"`
 	Version      int       `json:"version"`
-	Signature    string    `json:"signature"`
+	// Signature is the hex content signature of an HTML page. XML pages
+	// carry none; Load ignores one left by an older snapshot.
+	Signature string `json:"signature,omitempty"`
 	// File is the snapshot file holding the current XML version (empty
 	// for HTML pages, which keep only their signature).
 	File string `json:"file,omitempty"`
@@ -71,13 +73,15 @@ func (s *Store) Save(dir string) error {
 			LastAccessed: e.Meta.LastAccessed,
 			LastUpdate:   e.Meta.LastUpdate,
 			Version:      e.Meta.Version,
-			Signature:    hex.EncodeToString(e.Meta.Signature[:]),
+		}
+		if e.Meta.Type == HTML {
+			entry.Signature = hex.EncodeToString(e.Meta.Signature[:])
 		}
 		if e.Doc != nil {
 			entry.File = fmt.Sprintf("doc%06d.xml", i)
 			i++
 			path := filepath.Join(dir, entry.File)
-			if err := os.WriteFile(path, []byte(e.Doc.XML()), 0o644); err != nil {
+			if err := os.WriteFile(path, e.Doc.Root.AppendXML(nil), 0o644); err != nil {
 				return fmt.Errorf("warehouse: %w", err)
 			}
 		}
@@ -136,24 +140,27 @@ func (s *Store) Load(dir string) error {
 		}
 		if entry.Type == "html" {
 			meta.Type = HTML
+			sig, err := hex.DecodeString(entry.Signature)
+			if err != nil || len(sig) != len(meta.Signature) {
+				return fmt.Errorf("warehouse: bad signature for %s", entry.URL)
+			}
+			copy(meta.Signature[:], sig)
 		}
-		sig, err := hex.DecodeString(entry.Signature)
-		if err != nil || len(sig) != len(meta.Signature) {
-			return fmt.Errorf("warehouse: bad signature for %s", entry.URL)
-		}
-		copy(meta.Signature[:], sig)
 		e := &Entry{Meta: meta}
 		if entry.File != "" {
 			raw, err := os.ReadFile(filepath.Join(dir, entry.File))
 			if err != nil {
 				return fmt.Errorf("warehouse: %w", err)
 			}
-			doc, err := xmldom.ParseString(string(raw))
+			doc, err := xmldom.ParseBytes(raw)
 			if err != nil {
 				return fmt.Errorf("warehouse: corrupt document %s: %w", entry.File, err)
 			}
 			e.Doc = doc
 			e.Base = doc.Clone()
+			// Prime tier 2, as a commit does: a reflowed refetch of an
+			// unchanged restored page then skips the parse.
+			e.structHash, e.structOK = doc.Hashes().Of(doc.Root), true
 		}
 		s.pages[entry.URL] = e
 		s.indexDomainLocked(meta.Domain, entry.URL)

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -102,5 +103,86 @@ func TestLoadErrors(t *testing.T) {
 	fresh, _ := newTestStore()
 	if err := fresh.Load(bdir); err == nil {
 		t.Error("corrupt document should fail")
+	}
+}
+
+// TestLoadPrimesStructHash: a page restored from a snapshot keeps tier 2.
+// Whitespace-reflowed refetches of the unchanged page resolve by the
+// streaming structural hash, with no parse.
+func TestLoadPrimesStructHash(t *testing.T) {
+	const url = "http://a.example/c.xml"
+	dir := t.TempDir()
+	s, _ := newTestStore()
+	if _, err := s.CommitXMLBytes(url, "", "", []byte(`<catalog><product id="p1">radio</product><product id="p2">tv</product></catalog>`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(dir); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	s2, _ := newTestStore()
+	if err := s2.Load(dir); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	for i, data := range []string{
+		"<catalog>\n <product id=\"p1\">radio</product>\n <product id=\"p2\">tv</product>\n</catalog>",
+		"<catalog><product id='p1'>radio</product><product id='p2'>tv</product></catalog>",
+		"<catalog> <product id=\"p1\"> radio </product><product id=\"p2\">tv</product> </catalog>",
+		"<catalog><product id=\"p1\" >radio</product>\t<product id=\"p2\" >tv</product></catalog>",
+	} {
+		r, err := s2.CommitXMLBytes(url, "", "", []byte(data))
+		if err != nil || r.Status != StatusUnchanged {
+			t.Fatalf("reflowed refetch %d: %v, %v", i, r, err)
+		}
+	}
+	if got := s2.Stats(); got != (Stats{SkippedStructHash: 4}) {
+		t.Errorf("stats after restore %+v, want 4 tier-2 hits and no parse", got)
+	}
+}
+
+// TestLoadSignedXMLManifest loads a snapshot in the format that carried a
+// content signature for every page, XML included (the SHA-256 of the
+// canonical form). The XML signature is ignored; the HTML signature
+// still drives change detection and is still validated.
+func TestLoadSignedXMLManifest(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const canon = `<catalog><product>radio</product><product>tv</product></catalog>`
+	xmlSig, htmlSig := Signature([]byte(canon)), Signature([]byte("<html>hello</html>"))
+	manifest := func(htmlSigHex string) string {
+		return `{
+  "next_doc": 3,
+  "next_dtd": 1,
+  "pages": [
+    {"url": "http://a.example/c.xml", "filename": "c.xml", "docid": 1, "domain": "shopping", "type": "xml",
+     "last_accessed": "2001-05-21T09:00:00Z", "last_update": "2001-05-21T09:00:00Z", "version": 2,
+     "signature": "` + hex.EncodeToString(xmlSig[:]) + `", "file": "doc000000.xml"},
+    {"url": "http://a.example/i.html", "filename": "i.html", "docid": 2, "type": "html",
+     "last_accessed": "2001-05-21T09:00:00Z", "last_update": "2001-05-21T09:00:00Z", "version": 1,
+     "signature": "` + htmlSigHex + `"}
+  ]
+}`
+	}
+	write("doc000000.xml", canon)
+	write("manifest.json", manifest(hex.EncodeToString(htmlSig[:])))
+	s, _ := newTestStore()
+	if err := s.Load(dir); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	r, err := s.CommitXMLBytes("http://a.example/c.xml", "", "", []byte("<catalog>\n<product>radio</product>\n<product>tv</product>\n</catalog>"))
+	if err != nil || r.Status != StatusUnchanged || r.Meta.Version != 2 {
+		t.Fatalf("xml refetch = %+v, %v", r, err)
+	}
+	if rh, _ := s.CommitHTML("http://a.example/i.html", []byte("<html>hello</html>")); rh.Status != StatusUnchanged {
+		t.Errorf("html refetch = %v, want unchanged", rh.Status)
+	}
+
+	write("manifest.json", manifest("not-hex"))
+	if err := NewStore().Load(dir); err == nil {
+		t.Error("a malformed HTML signature must still fail Load")
 	}
 }

@@ -1,23 +1,12 @@
 package warehouse
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"sync"
 	"testing"
 
 	"xymon/internal/xmldom"
 )
-
-// canonSig is the canonical-form signature commitXML records in Metadata.
-func canonSig(t *testing.T, data []byte) [sha256.Size]byte {
-	t.Helper()
-	d, err := xmldom.ParseBytes(data)
-	if err != nil {
-		t.Fatalf("ParseBytes: %v", err)
-	}
-	return Signature([]byte(d.XML()))
-}
 
 // TestCommitXMLBytesTiering walks one page through the full cascade and
 // checks each tier resolves where it should, with the counters to match.
@@ -162,18 +151,17 @@ func TestAlwaysDiffDisablesTiers(t *testing.T) {
 // TestConcurrentStructHashNoStalePairing hammers one URL with
 // semantically-identical-to-v1 refetches while a writer flips the stored
 // version between v1 and v2. Run under -race. The invariant under test is
-// the commit-lock discipline: whenever the structural-hash tier reports
-// Unchanged, the metadata it returns belongs to the version whose hash
-// matched (v1) — never to a superseding v2 that landed in between.
+// the commit-lock discipline: whenever a refetch reports Unchanged, the
+// document it returns is the version whose hash matched (v1) — never a
+// superseding v2 that landed in between.
 func TestConcurrentStructHashNoStalePairing(t *testing.T) {
 	s, _ := newTestStore()
 	url := "http://conc.example/tier.xml"
 	v1 := []byte(`<c><p id="a"><n>one</n></p><p id="b"><n>two</n></p></c>`)
 	v1ws := []byte("<c>\n  <p id=\"a\"><n>one</n></p>\n  <p id='b'><n>two</n></p>\n</c>")
 	v2 := []byte(`<c><p id="a"><n>one</n></p><p id="b"><n>CHANGED</n></p></c>`)
-	sig1 := canonSig(t, v1)
-	sig2 := canonSig(t, v2)
-	if sig1 == sig2 || canonSig(t, v1ws) != sig1 {
+	canon1 := string(mustCanon(t, v1))
+	if string(mustCanon(t, v2)) == canon1 || string(mustCanon(t, v1ws)) != canon1 {
 		t.Fatal("test misconfigured: fixtures must share canonical form")
 	}
 	if _, err := s.CommitXMLBytes(url, "", "", v1); err != nil {
@@ -212,9 +200,11 @@ func TestConcurrentStructHashNoStalePairing(t *testing.T) {
 					t.Errorf("refetcher: %v", err)
 					return
 				}
-				if res.Status == StatusUnchanged && res.Meta.Signature != sig1 {
-					t.Errorf("struct-hash hit paired with a superseded version: signature %x", res.Meta.Signature[:8])
-					return
+				if res.Status == StatusUnchanged {
+					if got := res.Doc.XML(); got != canon1 {
+						t.Errorf("unchanged refetch paired with a superseded version: %s", got)
+						return
+					}
 				}
 			}
 		}()
@@ -222,5 +212,48 @@ func TestConcurrentStructHashNoStalePairing(t *testing.T) {
 	wg.Wait()
 	if got := s.Stats(); got.SkippedStructHash == 0 {
 		t.Log("note: no tier-2 hits occurred in this run (all refetches raced with writes)")
+	}
+}
+
+// TestUnchangedHasOneDefinition commits a page whose data node is split
+// by a comment, then the same text as one node, then whitespace reflows
+// of that. The split and the joined tree serialise alike but are
+// different trees, so every commit path must call the second fetch
+// updated: the tiered byte path, the always-diff baseline and the DOM
+// path agree because all three decide "unchanged" by the structural root
+// hash. The stored page then holds the joined tree, and the reflowed
+// refetches resolve at tier 2 without a parse.
+func TestUnchangedHasOneDefinition(t *testing.T) {
+	const url = "http://shop.example/split.xml"
+	fetches := [][]byte{
+		[]byte(`<a><b>x<!--c-->y</b><c/></a>`),
+		[]byte(`<a><b>xy</b><c/></a>`),
+		[]byte("<a>\n  <b>xy</b>\n  <c/>\n</a>"),
+		[]byte("<a> <b>xy</b> <c></c> </a>"),
+		[]byte("<a><b> xy </b>\n<c/></a>"),
+	}
+	want := []Status{StatusNew, StatusUpdated, StatusUnchanged, StatusUnchanged, StatusUnchanged}
+	c := &fakeClock{}
+	tiered, baseline, dom := NewStore(WithClock(c.now)), NewStore(WithClock(c.now), WithAlwaysDiff()), NewStore(WithClock(c.now))
+	for i, data := range fetches {
+		for name, commit := range map[string]func() (*CommitResult, error){
+			"tiered":   func() (*CommitResult, error) { return tiered.CommitXMLBytes(url, "", "", data) },
+			"baseline": func() (*CommitResult, error) { return baseline.CommitXMLBytes(url, "", "", data) },
+			"dom":      func() (*CommitResult, error) { return dom.CommitXML(url, "", "", xmldom.MustParse(string(data))) },
+		} {
+			r, err := commit()
+			if err != nil {
+				t.Fatalf("%s fetch %d: %v", name, i, err)
+			}
+			if r.Status != want[i] {
+				t.Errorf("%s fetch %d: status %v, want %v", name, i, r.Status, want[i])
+			}
+			if b := r.Doc.Root.Children[0]; i >= 1 && len(b.Children) != 1 {
+				t.Errorf("%s fetch %d: stored <b> has %d data nodes, want 1", name, i, len(b.Children))
+			}
+		}
+	}
+	if got := tiered.Stats(); got != (Stats{SkippedStructHash: 3, Parsed: 2, Diffed: 1}) {
+		t.Errorf("tiered stats %+v, want 3 tier-2 hits after one update", got)
 	}
 }

@@ -79,7 +79,9 @@ type Metadata struct {
 	LastAccessed time.Time
 	LastUpdate   time.Time
 	Version      int
-	Signature    [sha256.Size]byte
+	// Signature is the content signature of an HTML page, its only change
+	// test. XML pages leave it zero: they are compared by structural hash.
+	Signature [sha256.Size]byte
 }
 
 // Entry is a warehoused page: metadata plus, for XML, the current DOM and
@@ -96,15 +98,16 @@ type Entry struct {
 	// was committed from; CommitXMLBytes short-circuits an identical
 	// refetch before parsing. Only valid while rawOK — a commit through
 	// the DOM path clears it. Never persisted: after recovery the first
-	// refetch of each page pays one parse, then the fast path resumes.
+	// refetch of each page is resolved by structHash, which re-arms it.
 	rawSig [sha256.Size]byte
 	rawOK  bool
 	// structHash is the structural subtree hash of the current version's
 	// root — what xmldom.StreamHasher computes for any serialization of
-	// the tree. Recorded inside the same critical section as the commit,
-	// like rawSig, so a structural-hash hit can never pair with a
-	// superseded version. Unlike rawSig it survives DOM-path commits: it
-	// is a function of the tree, not of the bytes it arrived in.
+	// the tree, and the only test of whether an XML page is unchanged.
+	// Recorded inside the same critical section as the commit, like
+	// rawSig, so a structural-hash hit can never pair with a superseded
+	// version. Unlike rawSig it survives DOM-path commits and Load: it is
+	// a function of the tree, not of the bytes it arrived in.
 	structHash uint64
 	structOK   bool
 }
@@ -156,7 +159,7 @@ type Stats struct {
 	SkippedStructHash uint64
 	// Parsed counts full ParseBytes DOM builds (both tiers missed).
 	Parsed uint64
-	// Diffed counts xydiff runs — commits whose canonical form actually
+	// Diffed counts xydiff runs — commits whose structural hash actually
 	// differed from the stored version.
 	Diffed uint64
 }
@@ -180,9 +183,9 @@ func WithClock(clock func() time.Time) Option {
 	return func(s *Store) { s.clock = clock }
 }
 
-// WithAlwaysDiff disables the raw-signature and structural-hash unchanged
-// fast paths: every byte commit pays the full parse and canonical-form
-// comparison. This is the benchmark baseline the tiered path is measured
+// WithAlwaysDiff disables the raw-signature and streaming structural-hash
+// fast paths: every byte commit pays the full parse and hashes the whole
+// tree. This is the benchmark baseline the tiered path is measured
 // against; it is not meant for production stores.
 func WithAlwaysDiff() Option {
 	return func(s *Store) { s.alwaysDiff = true }
@@ -227,10 +230,10 @@ func Signature(content []byte) [sha256.Size]byte {
 }
 
 // CommitXML stores a fetched XML document. It detects the change status
-// against the previous version, computes the delta for updates (labelling
-// doc's nodes with persistent XIDs), bumps the version and updates all
-// metadata. The dtd and domain describe the document class; they may be
-// empty.
+// against the previous version by structural root hash, computes the
+// delta for updates (labelling doc's nodes with persistent XIDs), bumps
+// the version and updates all metadata. The dtd and domain describe the
+// document class; they may be empty.
 func (s *Store) CommitXML(url, dtd, domain string, doc *xmldom.Document) (*CommitResult, error) {
 	return s.commitXML(url, dtd, domain, doc, nil, nil)
 }
@@ -351,11 +354,15 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 	if doc == nil || doc.Root == nil {
 		return nil, errors.New("warehouse: empty document")
 	}
-	sig := Signature([]byte(doc.XML()))
 	now := s.clock()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The structural root hash is the one test of "unchanged", the value
+	// tier 2 streams off raw bytes. Computed under the commit lock: Diff
+	// reuses the vector, and the next version's Diff hashes only its own
+	// tree.
+	root := doc.Hashes().Of(doc.Root)
 	e, ok := s.pages[url]
 	if ok {
 		if rawSig != nil {
@@ -376,23 +383,22 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 			LastAccessed: now,
 			LastUpdate:   now,
 			Version:      1,
-			Signature:    sig,
 		}
 		s.nextDoc++
-		e = &Entry{Meta: meta, Doc: doc, Base: doc.Clone()}
+		e = &Entry{Meta: meta, Doc: doc, Base: doc.Clone(), structHash: root, structOK: true}
 		if rawSig != nil {
 			e.rawSig, e.rawOK = *rawSig, true
 		}
 		s.pages[url] = e
 		s.indexDomainLocked(domain, url)
-		// Prime the structural hash vector under the commit lock: the next
-		// version's Diff then hashes only its own tree — and its root hash
-		// becomes the tier-2 reference for the next refetch.
-		e.structHash, e.structOK = doc.Hashes().Of(doc.Root), true
 		return &CommitResult{Status: StatusNew, Meta: meta, Doc: doc}, nil
 	}
 	e.Meta.LastAccessed = now
-	if e.Meta.Signature == sig {
+	if e.structOK && e.structHash == root {
+		if doc != e.Doc {
+			// The discarded parse's vector goes back to the pool.
+			doc.InvalidateHashes()
+		}
 		return &CommitResult{Status: StatusUnchanged, Meta: e.Meta, Old: e.Doc, Doc: e.Doc}, nil
 	}
 	old := e.Doc
@@ -408,20 +414,18 @@ func (s *Store) commitXML(url, dtd, domain string, doc *xmldom.Document, rawSig 
 		e.Doc = doc
 		e.Base = doc.Clone()
 		e.Deltas = nil
-		e.structHash, e.structOK = doc.Hashes().Of(doc.Root), true
+		e.structHash, e.structOK = root, true
 		old.InvalidateHashes()
-		e.Meta.Signature = sig
 		e.Meta.LastUpdate = now
 		e.Meta.Version++
 		return &CommitResult{Status: StatusUpdated, Meta: e.Meta, Old: old, Doc: doc}, nil
 	}
 	e.Doc = doc
 	e.Deltas = append(e.Deltas, delta)
-	// doc's vector was computed (and cached) by Diff; the superseded
-	// version's vector is recycled — no later Diff can involve it.
-	e.structHash, e.structOK = doc.Hashes().Of(doc.Root), true
+	// The superseded version's vector is recycled — no later Diff can
+	// involve it.
+	e.structHash, e.structOK = root, true
 	old.InvalidateHashes()
-	e.Meta.Signature = sig
 	e.Meta.LastUpdate = now
 	e.Meta.Version++
 	if dtd != "" && dtd != e.Meta.DTD {

@@ -40,7 +40,7 @@ func TestPerturbWhitespaceNeutral(t *testing.T) {
 			if h := streamRoot(t, got); h != want {
 				t.Errorf("%s v%d: perturbation changed the structural hash: %#x != %#x", url, v, h, want)
 			}
-			// The canonical form is stable too: signature-level unchanged.
+			// The canonical serialisation is stable too.
 			d, err := xmldom.ParseBytes(got)
 			if err != nil {
 				t.Fatalf("%s v%d: %v", url, v, err)

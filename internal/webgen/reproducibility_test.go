@@ -78,7 +78,7 @@ func TestSiteFetchReproducible(t *testing.T) {
 
 // TestFetchXMLBytesMatchesDOM pins the byte renderer to the canonical
 // serialisation: commits through the byte path and the DOM path must
-// produce the same signature for the same (url, version).
+// store the same tree for the same (url, version).
 func TestFetchXMLBytesMatchesDOM(t *testing.T) {
 	site := NewSite(SiteSpec{BaseURL: "http://shop0.example/", Seed: 42, Pages: 3})
 	for _, url := range site.XMLURLs() {

@@ -295,9 +295,10 @@ func (s *Site) FetchXML(url string, version int) *xmldom.Document {
 // FetchXMLBytes renders catalog page url at the given version straight
 // to serialized bytes — the crawler's zero-copy ingest format. For
 // unperturbed fetches the output is byte-identical to
-// FetchXML(url, version).XML(), so commits through either path produce
-// the same signature; perturbed fetches (PerturbEvery) re-serialize the
-// same content in a deliberately different byte form.
+// FetchXML(url, version).XML(), so commits through either path store the
+// same tree with the same structural hash; perturbed fetches
+// (PerturbEvery) re-serialize the same content in a deliberately
+// different byte form, which changes the bytes but not the tree.
 func (s *Site) FetchXMLBytes(url string, version int) []byte {
 	if version < 1 {
 		version = 1

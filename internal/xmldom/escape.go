@@ -29,11 +29,10 @@ func init() {
 }
 
 // AppendEscaped appends s to dst with XML escaping, byte-identical to
-// the escaping WriteXML applies to text and attribute values. Generators
-// that render documents straight to bytes (webgen's byte-first fetch
-// path) use it so their output round-trips to the exact canonical
-// serialisation — same signature, same tree — without importing
-// encoding/xml (which the rawxml vet rule forbids outside this package).
+// encoding/xml's EscapeText (TestAppendEscapedMatchesStdlib). AppendXML
+// escapes text and attribute values with it, and generators that render
+// documents straight to bytes (webgen's byte-first fetch path) use it so
+// their output is exactly the canonical serialisation.
 func AppendEscaped(dst []byte, s string) []byte {
 	last := 0
 	for i := 0; i < len(s); {
@@ -73,4 +72,47 @@ func AppendEscaped(dst []byte, s string) []byte {
 		last = i
 	}
 	return append(dst, s[last:]...)
+}
+
+// AppendXML appends the subtree serialised as XML to dst: the canonical
+// form, with text and attribute values escaped by AppendEscaped and no
+// insignificant whitespace, so ParseBytes of the output rebuilds the
+// tree. (Adjacent data nodes serialise as one run of text and so
+// reparse as one node.)
+func (n *Node) AppendXML(dst []byte) []byte {
+	if n.Type == TextNode {
+		return AppendEscaped(dst, n.Text)
+	}
+	dst = append(dst, '<')
+	dst = append(dst, n.Tag...)
+	for _, a := range n.Attrs {
+		dst = append(dst, ' ')
+		dst = append(dst, a.Name...)
+		dst = append(dst, '=', '"')
+		dst = AppendEscaped(dst, a.Value)
+		dst = append(dst, '"')
+	}
+	if len(n.Children) == 0 {
+		return append(dst, '/', '>')
+	}
+	dst = append(dst, '>')
+	for _, c := range n.Children {
+		dst = c.AppendXML(dst)
+	}
+	dst = append(dst, '<', '/')
+	dst = append(dst, n.Tag...)
+	return append(dst, '>')
+}
+
+// XML returns the subtree serialised as a string.
+func (n *Node) XML() string {
+	return string(n.AppendXML(nil))
+}
+
+// XML returns the document serialised as a string.
+func (d *Document) XML() string {
+	if d == nil || d.Root == nil {
+		return ""
+	}
+	return d.Root.XML()
 }

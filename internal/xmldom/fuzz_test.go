@@ -1,9 +1,12 @@
 package xmldom
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
-// FuzzParseBytes differentially fuzzes the byte tokenizer path against
-// the legacy encoding/xml-based parser: for every input, either both
+// FuzzParseBytes differentially fuzzes the byte tokenizer against the
+// encoding/xml oracle (stdlibParse): for every input, either both
 // reject, or both accept and build identical trees (same Hash64, same
 // serialisation).
 func FuzzParseBytes(f *testing.F) {
@@ -11,10 +14,10 @@ func FuzzParseBytes(f *testing.F) {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		d1, err1 := ParseString(src)
+		d1, err1 := stdlibParse(strings.NewReader(src))
 		d2, err2 := ParseBytes([]byte(src))
 		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("accept/reject divergence on %q: Parse err=%v, ParseBytes err=%v", src, err1, err2)
+			t.Fatalf("accept/reject divergence on %q: oracle err=%v, ParseBytes err=%v", src, err1, err2)
 		}
 		if err1 != nil {
 			return

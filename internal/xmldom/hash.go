@@ -5,8 +5,13 @@ import "sync"
 // HashVector is the cached structural-hash index of one document version:
 // one 64-bit subtree hash per node, addressed by the node's preorder index
 // (Node.ord), assigned by the same pass that computes the hashes. Two
-// subtrees that serialise to the same XML carry the same hash, so the diff
-// layer compares whole subtrees in O(1) without rehashing either version.
+// subtrees with the same shape — node kinds, tags, attributes in order,
+// the text of each data node — carry the same hash, so the diff layer
+// compares whole subtrees in O(1) without rehashing either version. The
+// root's hash is also the warehouse's one definition of "unchanged". It
+// is finer than the serialisation: a data node split in two (text either
+// side of a comment) serialises like one run of text but hashes
+// differently.
 //
 // A vector is owned by exactly one Document and is only valid for the tree
 // shape it was computed from: callers that mutate a hashed tree in place

@@ -1,8 +1,10 @@
 // Package xmldom provides the small DOM used throughout the system: the
 // XML alerter walks documents in postorder (Section 6.3), the diff layer
 // labels elements with persistent XIDs (Section 5.2), and the query
-// processor evaluates path expressions over trees. It is built on the
-// encoding/xml tokenizer from the standard library.
+// processor evaluates path expressions over trees. Documents are parsed
+// by the package's own byte tokenizer (ParseBytes) and serialised by
+// AppendXML; the standard library's encoding/xml appears only in tests,
+// as the parser's differential oracle.
 package xmldom
 
 import (
@@ -381,9 +383,12 @@ var nodeStackPool = sync.Pool{New: func() any {
 // Hash64 folds a structural fingerprint of the subtree rooted at n into
 // the running FNV-1a hash h (seed with HashSeed): node kinds, tags, text,
 // attribute name/value pairs and child structure all contribute. Two
-// subtrees that serialise to the same XML fold identically, without
-// materialising the serialisation — this is the notification dedup key of
-// the hot path. XIDs and parent links are ignored, like in XML().
+// subtrees with the same shape — node kinds, tags, attributes in order,
+// the text of each data node — fold identically, without materialising
+// the serialisation; this is the notification dedup key of the hot path.
+// XIDs and parent links are ignored, like in XML(). The hash is finer
+// than the serialisation: adjacent data nodes serialise as one run of
+// text but hash as separate nodes.
 //
 // The traversal is an explicit pooled stack (shared with Document.Hashes),
 // so a pathologically deep document cannot overflow the goroutine stack.

@@ -133,13 +133,19 @@ func (sc *parseScratch) attrValue(a attrSpan) string {
 	return string(raw)
 }
 
-// ParseBytes parses a serialized document with the byte tokenizer,
-// producing the same tree — and the same accept/reject decisions — as
-// Parse (FuzzParseBytes holds the two together), without encoding/xml.
-// Nodes, child-pointer slices and attributes come from a chunked arena,
-// tag and attribute names are interned, and text is decoded straight off
-// the input spans, so the documents that survive the streaming
-// pre-filter allocate in large slabs instead of per-node.
+// ErrNoRoot is returned when the input contains no element.
+var ErrNoRoot = errors.New("xmldom: document has no root element")
+
+// ParseBytes parses a serialized document and builds its DOM. It is the
+// only parser: whitespace-only text and character data outside the root
+// are dropped (the alerters and the diff work on meaningful data nodes
+// only); comments, processing instructions and directives are ignored.
+// Accept/reject decisions and trees match the strict encoding/xml
+// decoder, kept in the tests as a differential oracle. Nodes,
+// child-pointer slices and attributes come from a chunked arena, tag and
+// attribute names are interned, and text is decoded straight off the
+// input spans, so the documents that survive the streaming pre-filter
+// allocate in large slabs instead of per-node.
 func ParseBytes(data []byte) (*Document, error) {
 	sc := parseScratchPool.Get().(*parseScratch)
 	frames := sc.frames[:0]
@@ -202,9 +208,8 @@ func ParseBytes(data []byte) (*Document, error) {
 				kids = append(kids, f.n)
 			}
 		case TokText:
-			// Top-level character data is dropped, like Parse; so is
-			// whitespace-only text (the alerters and the diff work on
-			// meaningful data nodes only).
+			// Top-level character data is dropped; so is
+			// whitespace-only text.
 			if len(frames) == 0 {
 				continue
 			}
@@ -216,4 +221,19 @@ func ParseBytes(data []byte) (*Document, error) {
 			}
 		}
 	}
+}
+
+// ParseString parses a document held in a string.
+func ParseString(s string) (*Document, error) {
+	return ParseBytes([]byte(s))
+}
+
+// MustParse parses a document and panics on error; for tests and
+// generators with known-good input.
+func MustParse(s string) *Document {
+	d, err := ParseString(s)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }

@@ -67,14 +67,14 @@ var parityCases = []string{
 	`<a xmlns="u" xmlns:p="v" p:x="1"/>`,
 }
 
-// TestParseBytesParity holds ParseBytes to the legacy parser's
+// TestParseBytesParity holds ParseBytes to the encoding/xml oracle's
 // accept/reject decision and tree shape on every handwritten corner.
 func TestParseBytesParity(t *testing.T) {
 	for _, src := range parityCases {
-		d1, err1 := ParseString(src)
+		d1, err1 := stdlibParse(strings.NewReader(src))
 		d2, err2 := ParseBytes([]byte(src))
 		if (err1 == nil) != (err2 == nil) {
-			t.Errorf("%q: Parse err=%v, ParseBytes err=%v", src, err1, err2)
+			t.Errorf("%q: oracle err=%v, ParseBytes err=%v", src, err1, err2)
 			continue
 		}
 		if err1 != nil {

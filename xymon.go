@@ -129,7 +129,7 @@ type Options struct {
 	AlwaysParse bool
 	// AlwaysDiff disables the warehouse's unchanged fast paths (the raw
 	// byte signature and the streaming structural hash), so every
-	// refetched XML page pays the full parse and canonical comparison.
+	// refetched XML page pays the full parse and structural comparison.
 	// Benchmarks use this switch as the baseline the tiered change
 	// detection is measured against.
 	AlwaysDiff bool
